@@ -31,12 +31,13 @@ main(int argc, char **argv)
     double product = 1.0;
     int count = 0;
     for (const auto &kernel : machsuiteKernels()) {
-        core::DeviceConfig dataflow;
-        BenchRun a = runSalam(*kernel, dataflow);
+        drive::PointConfig dataflow;
+        drive::RunResult a =
+            drive::runPoint(*kernel, dataflow, obsOptions());
 
-        core::DeviceConfig fsm;
-        fsm.blockSequentialImport = true;
-        BenchRun b = runSalam(*kernel, fsm);
+        drive::PointConfig fsm;
+        fsm.dev.blockSequentialImport = true;
+        drive::RunResult b = drive::runPoint(*kernel, fsm, obsOptions());
 
         double speedup = static_cast<double>(b.cycles) /
             static_cast<double>(a.cycles);

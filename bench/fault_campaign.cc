@@ -19,9 +19,11 @@
  */
 
 #include <cmath>
+#include <sstream>
 #include <vector>
 
 #include "common.hh"
+#include "obs/json.hh"
 #include "sys/system.hh"
 
 using namespace salam;
@@ -52,9 +54,9 @@ main(int argc, char **argv)
 
     Simulation sim;
     std::unique_ptr<inject::FaultInjector> injector =
-        makeFaultInjector(sim);
+        drive::makeFaultInjector(sim, options);
     ScopedTerminationHook flush_on_fatal =
-        benchTerminationHook(sim, "fault_campaign.relu");
+        drive::terminationHook(sim, "fault_campaign.relu", options);
 
     SystemConfig syscfg;
     syscfg.watchdogWindowTicks = options.watchdogTicks;
@@ -124,7 +126,7 @@ main(int argc, char **argv)
         if (snapshot[i] != input[i])
             ++stale;
     }
-    printInjectionLog(injector.get());
+    drive::printInjectionLog(injector.get());
     if (mismatches > 0 || stale > 0) {
         fatal("fault_campaign: wrong result, %u of %u outputs "
               "differ from the golden reference (%u stale at the "
@@ -140,10 +142,9 @@ main(int argc, char **argv)
                 injector ? injector->log().size()
                          : static_cast<std::size_t>(0));
 
-    if (!options.reportOut.empty() || benchStore() != nullptr) {
+    if (options.recordsRuns()) {
         obs::RunReport report;
         report.run = "fault_campaign.relu";
-        report.commandLine = options.commandLine;
         report.cycles = relu.cu->cycleCount();
         report.extra = {
             {"end_to_end_ticks", static_cast<double>(end)},
@@ -152,12 +153,8 @@ main(int argc, char **argv)
                       : 0.0},
         };
         report.statsJson = sim.stats().dumpJsonString();
-        if (!options.reportOut.empty() &&
-            !report.appendToFile(options.reportOut))
-            fatal("could not append run report to '%s'",
-                  options.reportOut.c_str());
-        if (obs::ResultStore *store = benchStore()) {
-            store->appendRunReport(report, options.benchName);
+        drive::recordRun(options, std::move(report));
+        if (obs::ResultStore *store = options.store) {
             // One queryable record per fired fault, so a campaign
             // over many seeds can be sliced by site/kind with
             // salam-query instead of scraping stdout.

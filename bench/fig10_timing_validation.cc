@@ -45,15 +45,15 @@ main(int argc, char **argv)
 
         // gem5-SALAM with ports matched to the HLS assumption
         // (dual-ported BRAM).
-        core::DeviceConfig dev;
-        dev.blockSequentialImport = true; // ILP-matched to HLS
-        dev.readPortsPerCycle = 2;
-        dev.writePortsPerCycle = 2;
-        BenchMemory memcfg;
-        memcfg.spmReadPorts = 2;
-        memcfg.spmWritePorts = 2;
-        fabric.apply(memcfg);
-        BenchRun salam_run = runSalam(*kernel, dev, memcfg);
+        drive::PointConfig point;
+        point.dev.blockSequentialImport = true; // ILP-matched to HLS
+        point.dev.readPortsPerCycle = 2;
+        point.dev.writePortsPerCycle = 2;
+        point.mem.spmReadPorts = 2;
+        point.mem.spmWritePorts = 2;
+        fabric.apply(point.mem);
+        drive::RunResult salam_run =
+            drive::runPoint(*kernel, point, obsOptions());
 
         // HLS surrogate on the same optimized IR.
         ir::Module mod("m");

@@ -32,9 +32,10 @@ main(int argc, char **argv)
     int count = 0;
     for (const char *name : names) {
         auto kernel = makeKernel(name);
-        core::DeviceConfig dev;
-        dev.blockSequentialImport = true; // ILP-matched to HLS
-        BenchRun salam_run = runSalam(*kernel, dev);
+        drive::PointConfig point;
+        point.dev.blockSequentialImport = true; // ILP-matched to HLS
+        drive::RunResult salam_run =
+            drive::runPoint(*kernel, point, obsOptions());
         double salam_power =
             salam_run.report.power.dynamicFuMw +
             salam_run.report.power.dynamicRegisterMw +

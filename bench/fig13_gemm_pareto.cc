@@ -15,8 +15,9 @@
  * serial output.
  */
 
+#include <sstream>
+
 #include "common.hh"
-#include "drive/sweep_runner.hh"
 #include "hw/cacti_lite.hh"
 
 using namespace salam;
@@ -39,7 +40,7 @@ main(int argc, char **argv)
               std::istringstream is(v);
               while (std::getline(is, item, ',')) {
                   std::uint64_t limit =
-                      benchParseUint("--fu-limits", item);
+                      drive::parseUint("--fu-limits", item);
                   if (limit == 0 || limit > 4096)
                       fatal("--fu-limits: bad FU count '%s'",
                             item.c_str());
@@ -63,22 +64,15 @@ main(int argc, char **argv)
     spec.axis("fu_limit", {fu_limits.begin(), fu_limits.end()})
         .axis("ports", {4, 8, 16, 32, 64});
 
-    // The dev/memcfg a grid point denotes, shared by the point
+    // The configuration a grid point denotes, shared by the point
     // function and the resume-hash callback.
-    auto point_config = [&spec](std::size_t idx,
-                                core::DeviceConfig &dev,
-                                BenchMemory &memcfg) {
+    auto point_config = [&spec](std::size_t idx) {
         auto fu_limit = static_cast<unsigned>(spec.value(idx, 0));
         auto ports = static_cast<unsigned>(spec.value(idx, 1));
-        dev.setFuLimit(hw::FuType::FpAddSubDouble, fu_limit);
-        dev.setFuLimit(hw::FuType::FpMultiplierDouble, fu_limit);
-        dev.readPortsPerCycle = ports;
-        dev.writePortsPerCycle = ports;
-        dev.readQueueSize = std::max(ports, 16u);
-        dev.writeQueueSize = std::max(ports, 16u);
-        memcfg.spmReadPorts = ports;
-        memcfg.spmWritePorts = ports;
-        return ports;
+        drive::PointConfig point = drive::PointConfig::portMatched(ports);
+        point.dev.setFuLimit(hw::FuType::FpAddSubDouble, fu_limit);
+        point.dev.setFuLimit(hw::FuType::FpMultiplierDouble, fu_limit);
+        return point;
     };
 
     struct Row
@@ -90,29 +84,20 @@ main(int argc, char **argv)
     };
     std::vector<Row> rows(spec.numPoints());
 
-    auto sweep_opts = sweepRunnerOptions(effectiveSweepThreads());
-    // Resume identity: mirror the dev/memcfg construction inside the
-    // point function, so the hash of an unrun point matches the
+    auto sweep_opts = sweepRunnerOptions(spec);
+    // Resume identity: the hash of an unrun point matches the
     // RunReport a completed run of it recorded.
-    const std::string kernel_name = makeGemm(gemmN, unroll)->name();
+    const auto kernel = makeGemm(gemmN, unroll);
     sweep_opts.pointHash = [&](std::size_t idx) {
-        core::DeviceConfig dev;
-        BenchMemory memcfg;
-        point_config(idx, dev, memcfg);
-        return runConfigHash(kernel_name, dev, memcfg);
-    };
-    sweep_opts.pointAxes = [&](std::size_t idx) {
-        return spec.axesJson(idx);
+        return drive::configHash(*kernel, point_config(idx));
     };
     drive::SweepRunner runner(sweep_opts);
     auto results =
         runner.run(spec.numPoints(), [&](std::size_t idx) {
-        auto kernel = makeGemm(gemmN, unroll);
-        core::DeviceConfig dev;
-        BenchMemory memcfg;
-        unsigned ports = point_config(idx, dev, memcfg);
-
-        BenchRun run = runSalamMode(*kernel, "n32u32", dev, memcfg);
+        const drive::PointConfig point = point_config(idx);
+        const unsigned ports = point.mem.spmReadPorts;
+        drive::RunResult run =
+            drive::runPoint(*kernel, point, obsOptions());
         const hw::PowerBreakdown &p = run.report.power;
 
         double datapath = p.dynamicFuMw + p.dynamicRegisterMw +
@@ -136,7 +121,7 @@ main(int argc, char **argv)
                 runtime_ns +
             cache.leakagePowerMw;
 
-        rows[idx] = {run.runtimeUs(dev), datapath, with_spm,
+        rows[idx] = {run.runtimeUs(point.dev), datapath, with_spm,
                      with_cache};
         return "{\"mode\":\"" + run.simMode + "\"}";
     });

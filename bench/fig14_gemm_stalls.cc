@@ -36,15 +36,8 @@ main(int argc, char **argv)
 
     for (unsigned ports : {64u, 32u, 16u, 8u, 4u}) {
         auto kernel = makeGemm(gemmN, unroll);
-        core::DeviceConfig dev;
-        dev.readPortsPerCycle = ports;
-        dev.writePortsPerCycle = ports;
-        dev.readQueueSize = std::max(ports, 16u);
-        dev.writeQueueSize = std::max(ports, 16u);
-        BenchMemory memcfg;
-        memcfg.spmReadPorts = ports;
-        memcfg.spmWritePorts = ports;
-        BenchRun run = runSalam(*kernel, dev, memcfg);
+        drive::RunResult run = drive::runPoint(
+            *kernel, drive::PointConfig::portMatched(ports), obsOptions());
         rows.push_back({ports, run.stats});
 
         double total = static_cast<double>(run.stats.totalCycles);

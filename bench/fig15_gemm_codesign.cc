@@ -14,7 +14,6 @@
  */
 
 #include "common.hh"
-#include "drive/sweep_runner.hh"
 
 using namespace salam;
 using namespace salam::bench;
@@ -31,35 +30,24 @@ main(int argc, char **argv)
     struct Row
     {
         unsigned ports;
-        BenchRun run;
-        core::DeviceConfig dev;
+        drive::RunResult run;
     };
     drive::SweepSpec spec;
     spec.axis("ports", {64, 32, 16, 8, 4});
     std::vector<Row> rows(spec.numPoints());
 
-    auto sweep_opts = sweepRunnerOptions(effectiveSweepThreads());
-    sweep_opts.pointAxes = [&](std::size_t idx) {
-        return spec.axesJson(idx);
-    };
+    auto sweep_opts = sweepRunnerOptions(spec);
     drive::SweepRunner runner(sweep_opts);
     auto results =
         runner.run(spec.numPoints(), [&](std::size_t idx) {
             auto ports = static_cast<unsigned>(spec.value(idx, 0));
             auto kernel = makeGemm(gemmN, unroll);
-            core::DeviceConfig dev;
-            dev.setFuLimit(hw::FuType::FpAddSubDouble, fadd_units);
-            dev.readPortsPerCycle = ports;
-            dev.writePortsPerCycle = ports;
-            dev.readQueueSize = std::max(ports, 16u);
-            dev.writeQueueSize = std::max(ports, 16u);
-            BenchMemory memcfg;
-            memcfg.spmReadPorts = ports;
-            memcfg.spmWritePorts = ports;
+            drive::PointConfig point =
+                drive::PointConfig::portMatched(ports);
+            point.dev.setFuLimit(hw::FuType::FpAddSubDouble,
+                                 fadd_units);
             rows[idx] = {ports,
-                         runSalamMode(*kernel, "n32u32", dev,
-                                      memcfg),
-                         dev};
+                         drive::runPoint(*kernel, point, obsOptions())};
             return "{\"mode\":\"" + rows[idx].run.simMode + "\"}";
         });
     // Interrupted (skipped) and resume-cached points carry no fresh

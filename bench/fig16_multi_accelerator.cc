@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "cnn_cluster.hh"
 #include "common.hh"
 #include "sys/system.hh"
 
@@ -28,24 +29,6 @@ using namespace salam::mem;
 
 namespace
 {
-
-constexpr unsigned imgW = 32, imgH = 32;
-constexpr unsigned convW = imgW - 2, convH = imgH - 2; // 30x30
-constexpr unsigned poolW = convW / 2, poolH = convH / 2; // 15x15
-constexpr std::uint64_t imageBytes = 4ull * imgW * imgH;
-constexpr std::uint64_t weightBytes = 4ull * 9;
-constexpr std::uint64_t convOutBytes = 4ull * convW * convH;
-constexpr std::uint64_t poolOutBytes = 4ull * poolW * poolH;
-
-std::vector<float>
-makeImage()
-{
-    Lcg rng(2020);
-    std::vector<float> image(imgW * imgH + 9);
-    for (auto &v : image)
-        v = static_cast<float>(rng.nextDouble()) - 0.5f;
-    return image;
-}
 
 /** Host-side golden: conv -> relu -> pool. */
 std::vector<float>
@@ -77,26 +60,23 @@ golden(const std::vector<float> &image)
 }
 
 void
-checkOutput(SalamSystem &sys, std::uint64_t dram_out,
+checkOutput(const std::vector<float> &pooled,
             const std::vector<float> &expected, const char *tag)
 {
     for (unsigned i = 0; i < expected.size(); ++i) {
-        float got = 0;
-        sys.dram().backdoorRead(dram_out + 4ull * i, &got, 4);
-        if (std::abs(got - expected[i]) > 1e-4f)
+        if (std::abs(pooled[i] - expected[i]) > 1e-4f)
             fatal("fig16 %s: wrong output at %u (%f vs %f)", tag,
-                  i, got, expected[i]);
+                  i, pooled[i], expected[i]);
     }
 }
 
-ScratchpadConfig
-spmProto()
+core::DmaConfig
+dmaProto()
 {
-    ScratchpadConfig proto;
-    proto.readPorts = 4;
-    proto.writePorts = 4;
-    proto.numPorts = 2;
-    return proto;
+    core::DmaConfig dma_proto;
+    dma_proto.burstBytes = 16; // modest cluster data mover
+    dma_proto.maxOutstanding = 2;
+    return dma_proto;
 }
 
 /** Scenario (a): private SPMs, DMA transfers, host-sequenced. */
@@ -105,91 +85,10 @@ scenarioPrivate(const std::vector<float> &image,
                 const std::vector<float> &expected,
                 const InterconnectConfig &icfg)
 {
-    Simulation sim;
-    SalamSystem sys(sim);
-    auto &cluster = sys.addCluster("c0", periodFromMhz(100), 0,
-                                   icfg);
-
-    auto &conv_spm = cluster.addSpm("conv_spm", 16 * 1024,
-                                    spmProto());
-    auto &relu_spm = cluster.addSpm("relu_spm", 16 * 1024,
-                                    spmProto());
-    auto &pool_spm = cluster.addSpm("pool_spm", 16 * 1024,
-                                    spmProto());
-    for (Scratchpad *spm : {&conv_spm, &relu_spm, &pool_spm}) {
-        cluster.localXbar().connectDevice(spm->port(1),
-                                          spm->config().range);
-    }
-
-    core::DmaConfig dma_proto;
-    dma_proto.burstBytes = 16; // modest cluster data mover
-    dma_proto.maxOutstanding = 2;
-    auto &dma = cluster.addDma("dma", dma_proto);
-    unsigned dma_irq = sys.allocateIrq();
-    dma.setIrqCallback(sys.gic().lineCallback(dma_irq));
-
-    ir::Module mod("m");
-    ir::IRBuilder b(mod);
-    ir::Function *conv_fn = makeConv2d(imgW, imgH)->buildOptimized(b);
-    ir::Function *relu_fn = makeRelu(convW * convH)->buildOptimized(b);
-    ir::Function *pool_fn = makeMaxPool(convW, convH)->buildOptimized(b);
-
-    auto &conv = cluster.addAccelerator(
-        "conv", *conv_fn, {},
-        {{"spm", {conv_spm.config().range}, false}});
-    bindPorts(conv.comm->dataPort(0), conv_spm.port(0));
-    auto &relu = cluster.addAccelerator(
-        "relu", *relu_fn, {},
-        {{"spm", {relu_spm.config().range}, false}});
-    bindPorts(relu.comm->dataPort(0), relu_spm.port(0));
-    auto &pool = cluster.addAccelerator(
-        "pool", *pool_fn, {},
-        {{"spm", {pool_spm.config().range}, false}});
-    bindPorts(pool.comm->dataPort(0), pool_spm.port(0));
-
-    // DRAM staging.
-    std::uint64_t dram_in = SystemAddressMap::dramBase + 0x10000;
-    std::uint64_t dram_out = SystemAddressMap::dramBase + 0x40000;
-    sys.dram().backdoorWrite(dram_in, image.data(),
-                             image.size() * 4);
-
-    std::uint64_t conv_in = conv_spm.config().range.start;
-    std::uint64_t conv_wts = conv_in + imageBytes;
-    std::uint64_t conv_out = conv_wts + 0x100;
-    std::uint64_t relu_in = relu_spm.config().range.start;
-    std::uint64_t relu_out = relu_in + convOutBytes;
-    std::uint64_t pool_in = pool_spm.config().range.start;
-    std::uint64_t pool_rowbuf = pool_in + convOutBytes;
-    std::uint64_t pool_out = pool_rowbuf + 0x200;
-
-    DriverCpu &host = sys.host();
-    std::uint64_t dma_mmr = dma.config().mmrRange.start;
-    host.push(HostOp::mark("begin"));
-    driver::pushDmaTransfer(host, dma_mmr, dram_in, conv_in,
-                            imageBytes + weightBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    driver::pushAcceleratorStart(host, conv,
-                                 {conv_in, conv_wts, conv_out});
-    host.push(HostOp::waitIrq(conv.irqId));
-    driver::pushDmaTransfer(host, dma_mmr, conv_out, relu_in,
-                            convOutBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    driver::pushAcceleratorStart(host, relu, {relu_in, relu_out});
-    host.push(HostOp::waitIrq(relu.irqId));
-    driver::pushDmaTransfer(host, dma_mmr, relu_out, pool_in,
-                            convOutBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    driver::pushAcceleratorStart(
-        host, pool, {pool_in, pool_rowbuf, pool_out});
-    host.push(HostOp::waitIrq(pool.irqId));
-    driver::pushDmaTransfer(host, dma_mmr, pool_out, dram_out,
-                            poolOutBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    host.push(HostOp::mark("end"));
-    sys.run();
-
-    checkOutput(sys, dram_out, expected, "private");
-    return host.markAt("end") - host.markAt("begin");
+    std::vector<float> pooled;
+    Tick t = privateSpmPipeline(image, icfg, dmaProto(), pooled);
+    checkOutput(pooled, expected, "private");
+    return t;
 }
 
 /** Scenario (b): shared SPM, host-sequenced (central control). */
@@ -198,10 +97,7 @@ scenarioShared(const std::vector<float> &image,
                const std::vector<float> &expected,
                const InterconnectConfig &icfg)
 {
-    Simulation sim;
-    SalamSystem sys(sim);
-    auto &cluster = sys.addCluster("c0", periodFromMhz(100), 0,
-                                   icfg);
+    CnnCluster c(icfg);
 
     // Multi-ported shared SPM: one direct port per accelerator
     // (the paper's shared-scratchpad organization) plus one routed
@@ -210,17 +106,11 @@ scenarioShared(const std::vector<float> &image,
     proto.numPorts = 4;
     proto.readPorts = 6;
     proto.writePorts = 6;
-    auto &shared = cluster.addSpm("shared", 64 * 1024, proto,
-                                  false);
-    cluster.localXbar().connectDevice(shared.port(3),
-                                      shared.config().range);
-
-    core::DmaConfig dma_proto;
-    dma_proto.burstBytes = 16; // modest cluster data mover
-    dma_proto.maxOutstanding = 2;
-    auto &dma = cluster.addDma("dma", dma_proto);
-    unsigned dma_irq = sys.allocateIrq();
-    dma.setIrqCallback(sys.gic().lineCallback(dma_irq));
+    auto &shared = c.cluster.addSpm("shared", 64 * 1024, proto,
+                                    false);
+    c.cluster.localXbar().connectDevice(shared.port(3),
+                                        shared.config().range);
+    c.addDma(dmaProto());
 
     ir::Module mod("m");
     ir::IRBuilder b(mod);
@@ -230,20 +120,15 @@ scenarioShared(const std::vector<float> &image,
 
     AcceleratorCluster::DataPortSpec shared_port{
         "mem", {shared.config().range}, false};
-    auto &conv = cluster.addAccelerator("conv", *conv_fn, {},
-                                        {shared_port});
+    auto &conv = c.cluster.addAccelerator("conv", *conv_fn, {},
+                                          {shared_port});
     bindPorts(conv.comm->dataPort(0), shared.port(0));
-    auto &relu = cluster.addAccelerator("relu", *relu_fn, {},
-                                        {shared_port});
+    auto &relu = c.cluster.addAccelerator("relu", *relu_fn, {},
+                                          {shared_port});
     bindPorts(relu.comm->dataPort(0), shared.port(1));
-    auto &pool = cluster.addAccelerator("pool", *pool_fn, {},
-                                        {shared_port});
+    auto &pool = c.cluster.addAccelerator("pool", *pool_fn, {},
+                                          {shared_port});
     bindPorts(pool.comm->dataPort(0), shared.port(2));
-
-    std::uint64_t dram_in = SystemAddressMap::dramBase + 0x10000;
-    std::uint64_t dram_out = SystemAddressMap::dramBase + 0x40000;
-    sys.dram().backdoorWrite(dram_in, image.data(),
-                             image.size() * 4);
 
     std::uint64_t base = shared.config().range.start;
     std::uint64_t in = base;
@@ -253,28 +138,19 @@ scenarioShared(const std::vector<float> &image,
     std::uint64_t rowbuf = relu_out + convOutBytes;
     std::uint64_t pool_out = rowbuf + 0x200;
 
-    DriverCpu &host = sys.host();
-    std::uint64_t dma_mmr = dma.config().mmrRange.start;
-    host.push(HostOp::mark("begin"));
-    driver::pushDmaTransfer(host, dma_mmr, dram_in, in,
-                            imageBytes + weightBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    driver::pushAcceleratorStart(host, conv, {in, wts, conv_out});
-    host.push(HostOp::waitIrq(conv.irqId));
-    driver::pushAcceleratorStart(host, relu,
+    c.begin(image, in);
+    driver::pushAcceleratorStart(c.host, conv, {in, wts, conv_out});
+    c.host.push(HostOp::waitIrq(conv.irqId));
+    driver::pushAcceleratorStart(c.host, relu,
                                  {conv_out, relu_out});
-    host.push(HostOp::waitIrq(relu.irqId));
-    driver::pushAcceleratorStart(host, pool,
+    c.host.push(HostOp::waitIrq(relu.irqId));
+    driver::pushAcceleratorStart(c.host, pool,
                                  {relu_out, rowbuf, pool_out});
-    host.push(HostOp::waitIrq(pool.irqId));
-    driver::pushDmaTransfer(host, dma_mmr, pool_out, dram_out,
-                            poolOutBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    host.push(HostOp::mark("end"));
-    sys.run();
-
-    checkOutput(sys, dram_out, expected, "shared");
-    return host.markAt("end") - host.markAt("begin");
+    c.host.push(HostOp::waitIrq(pool.irqId));
+    std::vector<float> pooled;
+    Tick t = c.finish(pool_out, pooled);
+    checkOutput(pooled, expected, "shared");
+    return t;
 }
 
 /** Scenario (c): direct stream-buffer pipeline, self-synchronized. */
@@ -283,29 +159,19 @@ scenarioStream(const std::vector<float> &image,
                const std::vector<float> &expected,
                const InterconnectConfig &icfg)
 {
-    Simulation sim;
-    SalamSystem sys(sim);
-    auto &cluster = sys.addCluster("c0", periodFromMhz(100), 0,
-                                   icfg);
+    CnnCluster c(icfg);
+    auto &conv_spm = c.cluster.addSpm("conv_spm", 16 * 1024,
+                                      spmProto());
+    auto &pool_spm = c.cluster.addSpm("pool_spm", 16 * 1024,
+                                      spmProto());
+    c.cluster.localXbar().connectDevice(conv_spm.port(1),
+                                        conv_spm.config().range);
+    c.cluster.localXbar().connectDevice(pool_spm.port(1),
+                                        pool_spm.config().range);
 
-    auto &conv_spm = cluster.addSpm("conv_spm", 16 * 1024,
-                                    spmProto());
-    auto &pool_spm = cluster.addSpm("pool_spm", 16 * 1024,
-                                    spmProto());
-    cluster.localXbar().connectDevice(conv_spm.port(1),
-                                      conv_spm.config().range);
-    cluster.localXbar().connectDevice(pool_spm.port(1),
-                                      pool_spm.config().range);
-
-    auto &fifo1 = cluster.addStreamBuffer("fifo1", 64);
-    auto &fifo2 = cluster.addStreamBuffer("fifo2", 64);
-
-    core::DmaConfig dma_proto;
-    dma_proto.burstBytes = 16; // modest cluster data mover
-    dma_proto.maxOutstanding = 2;
-    auto &dma = cluster.addDma("dma", dma_proto);
-    unsigned dma_irq = sys.allocateIrq();
-    dma.setIrqCallback(sys.gic().lineCallback(dma_irq));
+    auto &fifo1 = c.cluster.addStreamBuffer("fifo1", 64);
+    auto &fifo2 = c.cluster.addStreamBuffer("fifo2", 64);
+    c.addDma(dmaProto());
 
     ir::Module mod("m");
     ir::IRBuilder b(mod);
@@ -317,63 +183,49 @@ scenarioStream(const std::vector<float> &image,
         makeMaxPool(convW, convH, /*stream_in=*/true, false)
             ->buildOptimized(b);
 
-    auto &conv = cluster.addAccelerator(
+    auto &conv = c.cluster.addAccelerator(
         "conv", *conv_fn, {},
         {{"spm", {conv_spm.config().range}, false},
          {"stream", {fifo1.config().writeRange}, false}});
     bindPorts(conv.comm->dataPort(0), conv_spm.port(0));
     bindPorts(conv.comm->dataPort(1), fifo1.writePort());
 
-    auto &relu = cluster.addAccelerator(
+    auto &relu = c.cluster.addAccelerator(
         "relu", *relu_fn, {},
         {{"stream_in", {fifo1.config().readRange}, false},
          {"stream_out", {fifo2.config().writeRange}, false}});
     bindPorts(relu.comm->dataPort(0), fifo1.readPort());
     bindPorts(relu.comm->dataPort(1), fifo2.writePort());
 
-    auto &pool = cluster.addAccelerator(
+    auto &pool = c.cluster.addAccelerator(
         "pool", *pool_fn, {},
         {{"stream_in", {fifo2.config().readRange}, false},
          {"spm", {pool_spm.config().range}, false}});
     bindPorts(pool.comm->dataPort(0), fifo2.readPort());
     bindPorts(pool.comm->dataPort(1), pool_spm.port(0));
 
-    std::uint64_t dram_in = SystemAddressMap::dramBase + 0x10000;
-    std::uint64_t dram_out = SystemAddressMap::dramBase + 0x40000;
-    sys.dram().backdoorWrite(dram_in, image.data(),
-                             image.size() * 4);
-
     std::uint64_t conv_in = conv_spm.config().range.start;
     std::uint64_t conv_wts = conv_in + imageBytes;
     std::uint64_t rowbuf = pool_spm.config().range.start;
     std::uint64_t pool_out = rowbuf + 0x200;
 
-    DriverCpu &host = sys.host();
-    std::uint64_t dma_mmr = dma.config().mmrRange.start;
-    host.push(HostOp::mark("begin"));
-    driver::pushDmaTransfer(host, dma_mmr, dram_in, conv_in,
-                            imageBytes + weightBytes);
-    host.push(HostOp::waitIrq(dma_irq));
+    c.begin(image, conv_in);
     // Start all three stages; the FIFOs self-synchronize them.
     driver::pushAcceleratorStart(
-        host, pool,
+        c.host, pool,
         {fifo2.config().readRange.start, rowbuf, pool_out});
     driver::pushAcceleratorStart(
-        host, relu,
+        c.host, relu,
         {fifo1.config().readRange.start,
          fifo2.config().writeRange.start});
     driver::pushAcceleratorStart(
-        host, conv,
+        c.host, conv,
         {conv_in, conv_wts, fifo1.config().writeRange.start});
-    host.push(HostOp::waitIrq(pool.irqId));
-    driver::pushDmaTransfer(host, dma_mmr, pool_out, dram_out,
-                            poolOutBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    host.push(HostOp::mark("end"));
-    sys.run();
-
-    checkOutput(sys, dram_out, expected, "stream");
-    return host.markAt("end") - host.markAt("begin");
+    c.host.push(HostOp::waitIrq(pool.irqId));
+    std::vector<float> pooled;
+    Tick t = c.finish(pool_out, pooled);
+    checkOutput(pooled, expected, "stream");
+    return t;
 }
 
 } // namespace
@@ -426,13 +278,12 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(t_shared),
                 static_cast<unsigned long long>(t_stream));
 
-    // --store-out: one record per fabric configuration, queryable
-    // with salam-query (the configHash distinguishes fabric knobs,
-    // so xbar vs narrow-axi runs land as separate records).
-    if (obs::ResultStore *store = benchStore()) {
+    // --store-out/--report-out: one record per fabric configuration,
+    // queryable with salam-query (the configHash distinguishes fabric
+    // knobs, so xbar vs narrow-axi runs land as separate records).
+    if (obsOptions().recordsRuns()) {
         obs::RunReport report;
         report.run = "fig16-contention";
-        report.commandLine = obsOptions().commandLine;
         report.configHash = obs::fnv1aHash(
             std::string("fig16|ic=") + fabric.kind + "|icw=" +
             std::to_string(fabric.busWidthBytes) + "|icc=" +
@@ -448,7 +299,7 @@ main(int argc, char **argv)
                  ? -1.0
                  : static_cast<double>(fabric.credits)},
         };
-        store->appendRunReport(report, obsOptions().benchName);
+        drive::recordRun(obsOptions(), std::move(report));
     }
 
     bool shape = t_shared < t_private && t_stream < t_shared;

@@ -22,7 +22,8 @@ main(int argc, char **argv)
                 "spmWr", "stFU", "stReg", "stSPM");
 
     for (const auto &kernel : machsuiteKernels()) {
-        BenchRun run = runSalam(*kernel);
+        drive::RunResult run =
+            drive::runPoint(*kernel, {}, obsOptions());
         const hw::PowerBreakdown &p = run.report.power;
         double total = p.totalMw();
         auto pct = [total](double v) {

@@ -27,9 +27,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "cnn_cluster.hh"
 #include "common.hh"
-#include "drive/sweep_runner.hh"
-#include "sys/system.hh"
 
 using namespace salam;
 using namespace salam::bench;
@@ -40,44 +39,13 @@ using namespace salam::mem;
 namespace
 {
 
-constexpr unsigned imgW = 32, imgH = 32;
-constexpr unsigned convW = imgW - 2, convH = imgH - 2;
-constexpr unsigned poolW = convW / 2, poolH = convH / 2;
-constexpr std::uint64_t imageBytes = 4ull * imgW * imgH;
-constexpr std::uint64_t weightBytes = 4ull * 9;
-constexpr std::uint64_t convOutBytes = 4ull * convW * convH;
-constexpr std::uint64_t poolOutBytes = 4ull * poolW * poolH;
-
 /**
- * End-to-end ticks of fig16's private-SPM pipeline (conv -> relu ->
- * pool, DMA-staged, host-sequenced) on a cluster whose local fabric
- * is @p icfg.
+ * End-to-end ticks of fig16's private-SPM pipeline on a cluster
+ * whose local fabric is @p icfg.
  */
 Tick
 clusterEndToEnd(const InterconnectConfig &icfg)
 {
-    Lcg rng(2020);
-    std::vector<float> image(imgW * imgH + 9);
-    for (auto &v : image)
-        v = static_cast<float>(rng.nextDouble()) - 0.5f;
-
-    Simulation sim;
-    SalamSystem sys(sim);
-    auto &cluster = sys.addCluster("c0", periodFromMhz(100), 0,
-                                   icfg);
-
-    ScratchpadConfig proto;
-    proto.readPorts = 4;
-    proto.writePorts = 4;
-    proto.numPorts = 2;
-    auto &conv_spm = cluster.addSpm("conv_spm", 16 * 1024, proto);
-    auto &relu_spm = cluster.addSpm("relu_spm", 16 * 1024, proto);
-    auto &pool_spm = cluster.addSpm("pool_spm", 16 * 1024, proto);
-    for (Scratchpad *spm : {&conv_spm, &relu_spm, &pool_spm}) {
-        cluster.localXbar().connectDevice(spm->port(1),
-                                          spm->config().range);
-    }
-
     // A more aggressive data mover than fig16's (64-byte bursts,
     // deep outstanding window) so the cluster fabric — not the DMA's
     // own request pacing — is the bottleneck the curve measures.
@@ -86,70 +54,8 @@ clusterEndToEnd(const InterconnectConfig &icfg)
     core::DmaConfig dma_proto;
     dma_proto.burstBytes = 64;
     dma_proto.maxOutstanding = 8;
-    auto &dma = cluster.addDma("dma", dma_proto);
-    unsigned dma_irq = sys.allocateIrq();
-    dma.setIrqCallback(sys.gic().lineCallback(dma_irq));
-
-    ir::Module mod("m");
-    ir::IRBuilder b(mod);
-    ir::Function *conv_fn = makeConv2d(imgW, imgH)->buildOptimized(b);
-    ir::Function *relu_fn = makeRelu(convW * convH)->buildOptimized(b);
-    ir::Function *pool_fn = makeMaxPool(convW, convH)->buildOptimized(b);
-
-    auto &conv = cluster.addAccelerator(
-        "conv", *conv_fn, {},
-        {{"spm", {conv_spm.config().range}, false}});
-    bindPorts(conv.comm->dataPort(0), conv_spm.port(0));
-    auto &relu = cluster.addAccelerator(
-        "relu", *relu_fn, {},
-        {{"spm", {relu_spm.config().range}, false}});
-    bindPorts(relu.comm->dataPort(0), relu_spm.port(0));
-    auto &pool = cluster.addAccelerator(
-        "pool", *pool_fn, {},
-        {{"spm", {pool_spm.config().range}, false}});
-    bindPorts(pool.comm->dataPort(0), pool_spm.port(0));
-
-    std::uint64_t dram_in = SystemAddressMap::dramBase + 0x10000;
-    std::uint64_t dram_out = SystemAddressMap::dramBase + 0x40000;
-    sys.dram().backdoorWrite(dram_in, image.data(),
-                             image.size() * 4);
-
-    std::uint64_t conv_in = conv_spm.config().range.start;
-    std::uint64_t conv_wts = conv_in + imageBytes;
-    std::uint64_t conv_out = conv_wts + 0x100;
-    std::uint64_t relu_in = relu_spm.config().range.start;
-    std::uint64_t relu_out = relu_in + convOutBytes;
-    std::uint64_t pool_in = pool_spm.config().range.start;
-    std::uint64_t pool_rowbuf = pool_in + convOutBytes;
-    std::uint64_t pool_out = pool_rowbuf + 0x200;
-
-    DriverCpu &host = sys.host();
-    std::uint64_t dma_mmr = dma.config().mmrRange.start;
-    host.push(HostOp::mark("begin"));
-    driver::pushDmaTransfer(host, dma_mmr, dram_in, conv_in,
-                            imageBytes + weightBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    driver::pushAcceleratorStart(host, conv,
-                                 {conv_in, conv_wts, conv_out});
-    host.push(HostOp::waitIrq(conv.irqId));
-    driver::pushDmaTransfer(host, dma_mmr, conv_out, relu_in,
-                            convOutBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    driver::pushAcceleratorStart(host, relu, {relu_in, relu_out});
-    host.push(HostOp::waitIrq(relu.irqId));
-    driver::pushDmaTransfer(host, dma_mmr, relu_out, pool_in,
-                            convOutBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    driver::pushAcceleratorStart(
-        host, pool, {pool_in, pool_rowbuf, pool_out});
-    host.push(HostOp::waitIrq(pool.irqId));
-    driver::pushDmaTransfer(host, dma_mmr, pool_out, dram_out,
-                            poolOutBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    host.push(HostOp::mark("end"));
-    sys.run();
-
-    return host.markAt("end") - host.markAt("begin");
+    std::vector<float> pooled;
+    return privateSpmPipeline(makeImage(), icfg, dma_proto, pooled);
 }
 
 } // namespace
@@ -167,7 +73,7 @@ main(int argc, char **argv)
         std::istringstream is(v);
         while (std::getline(is, item, ','))
             out.push_back(static_cast<unsigned>(
-                benchParseUint(flag, item)));
+                drive::parseUint(flag, item)));
         if (out.empty())
             fatal("%s needs at least one value", flag);
     };
@@ -191,9 +97,7 @@ main(int argc, char **argv)
           }}});
     header("Interconnect sweep: fabric kind / bus width / credits");
 
-    constexpr unsigned gemmN = 16;
-    constexpr unsigned unroll = 8;
-    const std::string trace_key = "n16u8";
+    const auto kernel = makeGemm(16, 8);
 
     // Part 1: SweepSpec grid over the single-accelerator testbench.
     // ic_kind 1 = crossbar, 2 = AXI-like bus; credits 0 = unlimited.
@@ -205,28 +109,25 @@ main(int argc, char **argv)
         .axis("bus_width", {4, 64})
         .axis("credits", {0, 2});
 
-    auto point_config = [&spec](std::size_t idx,
-                                core::DeviceConfig &dev,
-                                BenchMemory &memcfg) {
-        (void)dev;
+    auto point_config = [&spec](std::size_t idx) {
         auto kind = spec.value(idx, 0);
         auto width = static_cast<unsigned>(spec.value(idx, 1));
         auto credits = static_cast<unsigned>(spec.value(idx, 2));
-        memcfg.useInterconnect = true;
-        memcfg.interconnect.kind = kind == 2
+        drive::PointConfig point;
+        point.mem.useInterconnect = true;
+        point.mem.interconnect.kind = kind == 2
             ? InterconnectKind::AxiBus
             : InterconnectKind::Crossbar;
-        memcfg.interconnect.busWidthBytes = width;
-        memcfg.interconnect.maxOutstandingPerRequester =
+        point.mem.interconnect.busWidthBytes = width;
+        point.mem.interconnect.maxOutstandingPerRequester =
             credits == 0 ? unlimitedCredits : credits;
+        return point;
     };
 
     // Direct-bind baseline: no fabric, so under --sim-mode auto this
     // is the one run the trace-reuse fast path may serve.
-    core::DeviceConfig base_dev;
-    BenchMemory base_mem;
-    BenchRun baseline = runSalamMode(*makeGemm(gemmN, unroll),
-                                     trace_key, base_dev, base_mem);
+    drive::RunResult baseline =
+        drive::runPoint(*kernel, {}, obsOptions());
     std::printf("%-8s %-10s %-10s %12s %8s  %s\n", "kind",
                 "bus_width", "credits", "cycles", "vs_base",
                 "mode");
@@ -242,26 +143,15 @@ main(int argc, char **argv)
     };
     std::vector<Row> rows(spec.numPoints());
 
-    auto sweep_opts = sweepRunnerOptions(effectiveSweepThreads());
-    const std::string kernel_name = makeGemm(gemmN, unroll)->name();
+    auto sweep_opts = sweepRunnerOptions(spec);
     sweep_opts.pointHash = [&](std::size_t idx) {
-        core::DeviceConfig dev;
-        BenchMemory memcfg;
-        point_config(idx, dev, memcfg);
-        return runConfigHash(kernel_name, dev, memcfg);
-    };
-    sweep_opts.pointAxes = [&](std::size_t idx) {
-        return spec.axesJson(idx);
+        return drive::configHash(*kernel, point_config(idx));
     };
     drive::SweepRunner runner(sweep_opts);
     auto results =
         runner.run(spec.numPoints(), [&](std::size_t idx) {
-            auto kernel = makeGemm(gemmN, unroll);
-            core::DeviceConfig dev;
-            BenchMemory memcfg;
-            point_config(idx, dev, memcfg);
-            BenchRun run =
-                runSalamMode(*kernel, trace_key, dev, memcfg);
+            drive::RunResult run = drive::runPoint(
+                *kernel, point_config(idx), obsOptions());
             rows[idx] = {run.cycles, run.simMode};
             return "{\"mode\":\"" + run.simMode + "\"}";
         });

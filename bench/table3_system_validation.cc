@@ -14,6 +14,7 @@
 #include <cmath>
 
 #include "common.hh"
+#include "mem/backdoor.hh"
 #include "hls/fpga_model.hh"
 #include "hls/hls_scheduler.hh"
 #include "sys/system.hh"

@@ -77,24 +77,18 @@ timedGemmSweep(unsigned threads,
     // machine-checkable, not just the headline speedup.
     opts.hostTelemetry = true;
     opts.captureSimTracePoint = -1;
-    opts.store = benchStore();
+    opts.store = obsOptions().store;
     opts.storeName = obsOptions().benchName;
     drive::SweepRunner runner(opts);
     auto results = runner.run(grid.size(), [&](std::size_t idx) {
         auto kernel = makeGemm(32, 32);
-        core::DeviceConfig dev;
-        dev.setFuLimit(hw::FuType::FpAddSubDouble,
-                       grid[idx].fuLimit);
-        dev.setFuLimit(hw::FuType::FpMultiplierDouble,
-                       grid[idx].fuLimit);
-        dev.readPortsPerCycle = grid[idx].ports;
-        dev.writePortsPerCycle = grid[idx].ports;
-        dev.readQueueSize = std::max(grid[idx].ports, 16u);
-        dev.writeQueueSize = std::max(grid[idx].ports, 16u);
-        BenchMemory memcfg;
-        memcfg.spmReadPorts = grid[idx].ports;
-        memcfg.spmWritePorts = grid[idx].ports;
-        runSalam(*kernel, dev, memcfg);
+        drive::PointConfig point =
+            drive::PointConfig::portMatched(grid[idx].ports);
+        point.dev.setFuLimit(hw::FuType::FpAddSubDouble,
+                             grid[idx].fuLimit);
+        point.dev.setFuLimit(hw::FuType::FpMultiplierDouble,
+                             grid[idx].fuLimit);
+        drive::runPoint(*kernel, point, obsOptions());
         return std::string();
     });
     for (const auto &r : results) {
@@ -178,8 +172,18 @@ main(int argc, char **argv)
           "skip the serial-vs-parallel sweep legs",
           [&](const std::string &) { no_sweep = true; }}});
 
-    core::DeviceConfig default_dev;
     std::vector<KernelRate> rates;
+    // Default-config run of @p kernel, recorded as a simulation rate.
+    auto measure = [&rates](const Kernel &kernel) {
+        drive::RunResult run =
+            drive::runPoint(kernel, {}, obsOptions());
+        rates.push_back(
+            {kernel.name(), run.cycles, run.simulateSeconds,
+             static_cast<double>(run.cycles) *
+                 static_cast<double>(core::DeviceConfig{}.clockPeriod) /
+                 std::max(run.simulateSeconds, 1e-9)});
+        return run;
+    };
 
     if (!gemm_only) {
         header("Table IV: simulator setup and runtime execution "
@@ -203,13 +207,7 @@ main(int argc, char **argv)
                 "/tmp/salam_table4_trace.txt");
 
             // gem5-SALAM: compilation + engine simulation.
-            BenchRun salam_run = runSalam(*kernel);
-            rates.push_back(
-                {kernel->name(), salam_run.cycles,
-                 salam_run.simulateSeconds,
-                 static_cast<double>(salam_run.cycles) *
-                     static_cast<double>(default_dev.clockPeriod) /
-                     std::max(salam_run.simulateSeconds, 1e-9)});
+            drive::RunResult salam_run = measure(*kernel);
 
             double pre_speedup = base.traceGenSeconds /
                 std::max(salam_run.compileSeconds, 1e-9);
@@ -234,15 +232,8 @@ main(int argc, char **argv)
     } else {
         header("Simulation-rate probe (GEMM only)");
         for (const auto &kernel : machsuiteKernels()) {
-            if (kernel->name() != "gemm")
-                continue;
-            BenchRun salam_run = runSalam(*kernel);
-            rates.push_back(
-                {kernel->name(), salam_run.cycles,
-                 salam_run.simulateSeconds,
-                 static_cast<double>(salam_run.cycles) *
-                     static_cast<double>(default_dev.clockPeriod) /
-                     std::max(salam_run.simulateSeconds, 1e-9)});
+            if (kernel->name() == "gemm")
+                measure(*kernel);
         }
         if (rates.empty())
             fatal("no gemm kernel in the MachSuite set");

@@ -18,13 +18,12 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/compute_unit.hh"
 #include "core/power_report.hh"
 #include "drive/sweep_runner.hh"
 #include "drive/sweep_spec.hh"
+#include "drive/testbench.hh"
 #include "kernels/machsuite.hh"
 #include "mem/backdoor.hh"
-#include "mem/scratchpad.hh"
 #include "sim/simulation.hh"
 
 using namespace salam;
@@ -59,27 +58,18 @@ evaluate(unsigned unroll, unsigned fp_units, unsigned ports)
     scfg.range = mem::AddrRange{0x10000, 0x10000 + 64 * 1024};
     scfg.readPorts = ports;
     scfg.writePorts = ports;
-    auto &spm = sim.create<mem::Scratchpad>("spm", dev.clockPeriod,
-                                            scfg);
+    drive::Testbench tb(sim, *fn, dev, scfg);
 
-    core::CommInterfaceConfig ccfg;
-    ccfg.mmrRange = mem::AddrRange{0x2000, 0x2000 + 256};
-    ccfg.dataPorts.push_back({"spm", {scfg.range}});
-    auto &comm = sim.create<core::CommInterface>(
-        "comm", dev.clockPeriod, ccfg);
-    mem::bindPorts(comm.dataPort(0), spm.port(0));
-    auto &cu = sim.create<core::ComputeUnit>("acc", *fn, dev, comm);
-
-    mem::ScratchpadBackdoor backdoor(spm);
+    mem::ScratchpadBackdoor backdoor(tb.spm);
     kernel->seed(backdoor, 0x10000);
-    cu.start(kernel->args(0x10000));
+    tb.cu.start(kernel->args(0x10000));
     sim.run();
-    if (!cu.finished() ||
+    if (!tb.cu.finished() ||
         !kernel->check(backdoor, 0x10000).empty()) {
         fatal("sweep point produced wrong results");
     }
 
-    core::AcceleratorReport report = core::buildReport(cu, &spm);
+    core::AcceleratorReport report = core::buildReport(tb.cu, &tb.spm);
     return Point{report.cycles, report.power.totalMw(),
                  report.area.totalUm2()};
 }

@@ -21,12 +21,10 @@
 #include <cstdio>
 #include <cstring>
 
-#include "core/compute_unit.hh"
 #include "core/power_report.hh"
+#include "drive/run_point.hh"
 #include "ir/ir_builder.hh"
 #include "mem/backdoor.hh"
-#include "mem/scratchpad.hh"
-#include "obs/run_report.hh"
 #include "opt/pass_manager.hh"
 #include "sim/simulation.hh"
 
@@ -35,14 +33,15 @@ using namespace salam;
 int
 main(int argc, char **argv)
 {
-    const char *trace_out = nullptr;
-    const char *report_out = nullptr;
+    drive::Artifacts art;
+    for (int k = 0; k < argc; ++k)
+        art.commandLine.append(k > 0 ? " " : "").append(argv[k]);
     for (int k = 1; k < argc; ++k) {
         if (std::strcmp(argv[k], "--trace-out") == 0 && k + 1 < argc)
-            trace_out = argv[++k];
+            art.traceOut = argv[++k];
         else if (std::strcmp(argv[k], "--report-out") == 0 &&
                  k + 1 < argc)
-            report_out = argv[++k];
+            art.reportOut = argv[++k];
         else
             fatal("usage: quickstart [--trace-out FILE] "
                   "[--report-out FILE]");
@@ -88,7 +87,7 @@ main(int argc, char **argv)
 
     // ---- 3. The system: SPM + CommInterface + ComputeUnit.
     Simulation sim;
-    if (trace_out != nullptr)
+    if (!art.traceOut.empty())
         sim.enableTracing();
     core::DeviceConfig dev; // 100 MHz, 1-to-1 FU map by default
     dev.readPortsPerCycle = 8;
@@ -98,29 +97,19 @@ main(int argc, char **argv)
     scfg.range = mem::AddrRange{0x10000, 0x10000 + 64 * 1024};
     scfg.readPorts = 8;
     scfg.writePorts = 8;
-    auto &spm = sim.create<mem::Scratchpad>("spm", dev.clockPeriod,
-                                            scfg);
-
-    core::CommInterfaceConfig ccfg;
-    ccfg.mmrRange = mem::AddrRange{0x2000, 0x2000 + 256};
-    ccfg.dataPorts.push_back({"spm", {scfg.range}});
-    auto &comm = sim.create<core::CommInterface>(
-        "comm", dev.clockPeriod, ccfg);
-    mem::bindPorts(comm.dataPort(0), spm.port(0));
-
-    auto &cu = sim.create<core::ComputeUnit>("acc", *fn, dev, comm);
+    drive::Testbench tb(sim, *fn, dev, scfg);
 
     // ---- 4. Seed inputs, run, verify.
     const std::uint64_t xa = 0x10000, ya = 0x12000;
-    mem::ScratchpadBackdoor backdoor(spm);
+    mem::ScratchpadBackdoor backdoor(tb.spm);
     for (int k = 0; k < 64; ++k) {
         backdoor.writeF64(xa + 8u * static_cast<unsigned>(k), k);
         backdoor.writeF64(ya + 8u * static_cast<unsigned>(k),
                           100.0);
     }
-    cu.start({ir::RuntimeValue::fromDouble(0.5),
-              ir::RuntimeValue::fromPointer(xa),
-              ir::RuntimeValue::fromPointer(ya)});
+    tb.cu.start({ir::RuntimeValue::fromDouble(0.5),
+                 ir::RuntimeValue::fromPointer(xa),
+                 ir::RuntimeValue::fromPointer(ya)});
     sim.run();
 
     bool ok = true;
@@ -131,7 +120,7 @@ main(int argc, char **argv)
     }
 
     // ---- 5. Report.
-    core::AcceleratorReport report = core::buildReport(cu, &spm);
+    core::AcceleratorReport report = core::buildReport(tb.cu, &tb.spm);
     std::printf("daxpy results: %s\n", ok ? "CORRECT" : "WRONG");
     std::printf("cycles:        %llu (%.2f us @ 100 MHz)\n",
                 static_cast<unsigned long long>(report.cycles),
@@ -149,33 +138,27 @@ main(int argc, char **argv)
     // ---- 6. Optional machine-readable outputs.
     sim.finalizeAll();
     if (obs::TraceSink *sink = sim.traceSink()) {
-        if (!sink->writeChromeTraceFile(trace_out))
-            fatal("could not write trace to '%s'", trace_out);
-        std::printf("trace:         %s (%zu events)\n", trace_out,
-                    sink->size());
+        if (!sink->writeChromeTraceFile(art.traceOut))
+            fatal("could not write trace to '%s'", art.traceOut.c_str());
+        std::printf("trace:         %s (%zu events)\n",
+                    art.traceOut.c_str(), sink->size());
     }
-    if (report_out != nullptr) {
+    if (!art.reportOut.empty()) {
         obs::RunReport run_report;
         run_report.run = "quickstart.daxpy";
-        for (int k = 0; k < argc; ++k) {
-            if (k > 0)
-                run_report.commandLine += ' ';
-            run_report.commandLine += argv[k];
-        }
         run_report.configHash =
             obs::fnv1aHash("quickstart.daxpy|n=64");
         run_report.cycles = report.cycles;
         run_report.extra = {
             {"power_mw", report.power.totalMw()},
             {"spm_reads",
-             static_cast<double>(spm.readCount())},
+             static_cast<double>(tb.spm.readCount())},
             {"spm_writes",
-             static_cast<double>(spm.writeCount())},
+             static_cast<double>(tb.spm.writeCount())},
         };
         run_report.statsJson = sim.stats().dumpJsonString();
-        if (!run_report.appendToFile(report_out))
-            fatal("could not append run report to '%s'", report_out);
-        std::printf("run report:    %s\n", report_out);
+        drive::recordRun(art, std::move(run_report));
+        std::printf("run report:    %s\n", art.reportOut.c_str());
     }
     return ok ? 0 : 1;
 }

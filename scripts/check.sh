@@ -404,6 +404,41 @@ print("interconnect auto-fallback gate ok: 9 paired points, "
       "0 changed")
 PYEOF
 
+echo "== store: distinct configurations => distinct config hashes"
+# Pool every store written above. One config_hash must never name ok
+# run records with different cycle counts: --resume and
+# findByConfigHash would hand one configuration another's results.
+python3 - "${salam_query}" "${smoke_dir}/simrate_store" \
+    "${smoke_dir}/store_a" "${smoke_dir}/store_b" \
+    "${smoke_dir}/store_fastgate_full" \
+    "${smoke_dir}/store_fastgate_fast" "${ic_dir}/fig16_store" \
+    "${ic_dir}/ic_full" "${ic_dir}/ic_auto" <<'PYEOF'
+import json, subprocess, sys
+query, stores = sys.argv[1], sys.argv[2:]
+seen = {}
+runs = 0
+for store in stores:
+    out = subprocess.run(
+        [query, "list", store, "--kind", "run", "--outcome", "ok",
+         "--json"], check=True, capture_output=True, text=True).stdout
+    for rec in json.loads(out):
+        if int(rec["config_hash"], 16) == 0:
+            continue
+        runs += 1
+        where = f"{store} {rec['kernel']} point {rec['point']}"
+        seen.setdefault(rec["config_hash"], {}).setdefault(
+            rec["cycles"], []).append(where)
+bad = {h: by_cycles for h, by_cycles in seen.items()
+       if len(by_cycles) > 1}
+for h, by_cycles in sorted(bad.items()):
+    print(f"config_hash {h} names runs with different cycles:")
+    for cycles, where in sorted(by_cycles.items()):
+        print(f"  {cycles:.0f} cycles: {', '.join(where)}")
+assert not bad, f"{len(bad)} config hash(es) shared by distinct configs"
+print(f"config-hash check ok: {runs} ok runs, {len(seen)} hashes, "
+      f"no hash shared by runs with different cycles")
+PYEOF
+
 echo "== robustness: kill-and-resume, timeouts, retry records"
 rb_dir="${smoke_dir}/robust"
 mkdir -p "${rb_dir}"

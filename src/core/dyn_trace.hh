@@ -24,7 +24,6 @@
 #define SALAM_CORE_DYN_TRACE_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace salam::core
@@ -56,14 +55,6 @@ struct DynTrace
     static constexpr std::uint32_t noBranchTarget = ~0u;
 
     /**
-     * Caller-assigned identity of the (kernel variant, input) pair.
-     * Kernel::name() alone is NOT enough — e.g. every GEMM unroll
-     * variant is named "gemm" — so the capturing bench must key the
-     * trace on everything that changes the IR or the seeded input.
-     */
-    std::string kernelKey;
-
-    /**
      * DeviceConfig::blockSequentialImport at capture time. The one
      * scheduling knob that changes which dynamic instances exist
      * (FSM-style drain points alter import timing but, more to the
@@ -71,9 +62,6 @@ struct DynTrace
      * semantics to honour) — a mismatch forces full simulation.
      */
     bool capturedBlockSequential = false;
-
-    /** runConfigHash of the capturing run (informational). */
-    std::uint64_t sourceConfigHash = 0;
 
     /** The dynamic instruction stream, in seq order. */
     std::vector<DynTraceInst> insts;

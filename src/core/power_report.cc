@@ -10,14 +10,9 @@ buildReport(const ComputeUnit &cu, const mem::Scratchpad *private_spm)
 {
     SpmUsage usage;
     if (private_spm != nullptr) {
-        const mem::ScratchpadConfig &scfg = private_spm->config();
-        usage.sizeBytes = scfg.range.size();
-        usage.wordBytes = scfg.wordBytes;
-        usage.readPorts = scfg.readPorts;
-        usage.writePorts = scfg.writePorts;
-        usage.banks = scfg.banks;
-        usage.reads = private_spm->readCount();
-        usage.writes = private_spm->writeCount();
+        usage = SpmUsage::of(private_spm->config(),
+                             private_spm->readCount(),
+                             private_spm->writeCount());
     }
     return buildReport(cu.cdfg(), cu.deviceConfig(), cu.stats(),
                        private_spm != nullptr ? &usage : nullptr);

@@ -55,6 +55,16 @@ struct SpmUsage
     unsigned banks = 1;
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
+
+    /** A scratchpad configured by @p cfg that served these accesses. */
+    static SpmUsage
+    of(const mem::ScratchpadConfig &cfg, std::uint64_t reads,
+       std::uint64_t writes)
+    {
+        return {cfg.range.size(), cfg.wordBytes, cfg.readPorts,
+                cfg.writePorts,   cfg.banks,     reads,
+                writes};
+    }
 };
 
 /**

@@ -231,9 +231,11 @@ class SweepRunner
         /**
          * Config fingerprint of a point, matching the RunReport
          * configHash its point function would record (see
-         * bench::runConfigHash). Enables exact resume matching
-         * across grid reorderings; without it resume falls back to
-         * (storeName, point index) identity.
+         * drive::configHash). Enables exact resume matching across
+         * grid reorderings; without it resume falls back to
+         * (storeName, point index) identity. With it, a record whose
+         * hash was computed under another definition never matches,
+         * so stores from before a hash change re-run their points.
          */
         std::function<std::uint64_t(std::size_t)> pointHash;
 

@@ -34,6 +34,12 @@ class BfsKernel : public Kernel
 
     std::string name() const override { return "bfs-queue"; }
 
+    std::string
+    key() const override
+    {
+        return formatKey({{"n", n}, {"e", epn}});
+    }
+
     std::uint64_t
     footprintBytes() const override
     {

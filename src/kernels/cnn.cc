@@ -45,6 +45,12 @@ class Conv2dKernel : public Kernel
 
     std::string name() const override { return "conv2d"; }
 
+    std::string
+    key() const override
+    {
+        return formatKey({{"w", w}, {"h", h}, {"so", streamOut}});
+    }
+
     unsigned outW() const { return w - 2; }
 
     unsigned outH() const { return h - 2; }
@@ -195,6 +201,12 @@ class ReluKernel : public Kernel
 
     std::string name() const override { return "relu"; }
 
+    std::string
+    key() const override
+    {
+        return formatKey({{"c", count}, {"si", streamIn}, {"so", streamOut}});
+    }
+
     std::uint64_t
     footprintBytes() const override
     {
@@ -285,6 +297,13 @@ class MaxPoolKernel : public Kernel
     {}
 
     std::string name() const override { return "maxpool"; }
+
+    std::string
+    key() const override
+    {
+        return formatKey(
+            {{"w", w}, {"h", h}, {"si", streamIn}, {"so", streamOut}});
+    }
 
     unsigned outW() const { return w / 2; }
 

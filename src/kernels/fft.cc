@@ -36,6 +36,12 @@ class FftKernel : public Kernel
 
     std::string name() const override { return "fft-strided"; }
 
+    std::string
+    key() const override
+    {
+        return formatKey({{"s", size}});
+    }
+
     std::uint64_t
     footprintBytes() const override
     {

@@ -27,6 +27,12 @@ class GemmKernel : public Kernel
 
     std::string name() const override { return "gemm"; }
 
+    std::string
+    key() const override
+    {
+        return formatKey({{"n", n}, {"u", unroll}});
+    }
+
     std::uint64_t
     footprintBytes() const override
     {

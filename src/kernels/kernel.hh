@@ -15,8 +15,10 @@
 #define SALAM_KERNELS_KERNEL_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ir/interpreter.hh"
@@ -62,7 +64,18 @@ class Kernel
   public:
     virtual ~Kernel() = default;
 
+    /** Short label tables and stores print, e.g. "gemm". */
     virtual std::string name() const = 0;
+
+    /**
+     * Identity of this kernel variant: name() plus every parameter
+     * that changes the IR or the seeded input, e.g. "gemm/n32u8".
+     * Kernels with equal keys build identical IR and seed identical
+     * data, so configuration hashes and the trace cache key on it.
+     * Formatted per call, so constructing a kernel stays one
+     * allocation.
+     */
+    virtual std::string key() const = 0;
 
     /** Build the kernel function (clang stand-in). */
     virtual ir::Function *build(ir::IRBuilder &builder) const = 0;
@@ -104,6 +117,18 @@ class Kernel
         ir::Function *fn = build(builder);
         opt::PassManager::run(*fn, defaultPasses());
         return fn;
+    }
+
+  protected:
+    /** key() from @p params, (tag, value) pairs in key order. */
+    std::string
+    formatKey(std::initializer_list<std::pair<const char *, unsigned>>
+                  params) const
+    {
+        std::string key = name() + "/";
+        for (const auto &[tag, value] : params)
+            key += tag + std::to_string(value);
+        return key;
     }
 };
 

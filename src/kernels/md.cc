@@ -37,6 +37,12 @@ class MdKnnKernel : public Kernel
 
     std::string name() const override { return "md-knn"; }
 
+    std::string
+    key() const override
+    {
+        return formatKey({{"a", atoms}, {"nl", nl}, {"u", unroll}});
+    }
+
     std::uint64_t
     footprintBytes() const override
     {
@@ -226,6 +232,12 @@ class MdGridKernel : public Kernel
     {}
 
     std::string name() const override { return "md-grid"; }
+
+    std::string
+    key() const override
+    {
+        return formatKey({{"s", side}, {"d", density}});
+    }
 
     unsigned numBlocks() const { return side * side * side; }
 

@@ -34,6 +34,12 @@ class NwKernel : public Kernel
 
     std::string name() const override { return "nw"; }
 
+    std::string
+    key() const override
+    {
+        return formatKey({{"l", len}});
+    }
+
     std::uint64_t
     footprintBytes() const override
     {

@@ -46,6 +46,13 @@ class SpmvKernel : public Kernel
         return guarded ? "spmv-crs-guarded" : "spmv-crs";
     }
 
+    std::string
+    key() const override
+    {
+        return formatKey(
+            {{"r", rows}, {"z", nnz}, {"g", guarded}, {"d", dataset}});
+    }
+
     std::uint64_t valBytes() const { return 8ull * rows * nnz; }
 
     std::uint64_t colsBytes() const { return 8ull * rows * nnz; }

@@ -31,6 +31,12 @@ class Stencil2dKernel : public Kernel
 
     std::string name() const override { return "stencil2d"; }
 
+    std::string
+    key() const override
+    {
+        return formatKey({{"r", rows}, {"c", cols}, {"u", unroll}});
+    }
+
     std::uint64_t
     footprintBytes() const override
     {
@@ -174,6 +180,13 @@ class Stencil3dKernel : public Kernel
     {}
 
     std::string name() const override { return "stencil3d"; }
+
+    std::string
+    key() const override
+    {
+        return formatKey(
+            {{"h", height}, {"r", rows}, {"c", cols}, {"u", unroll}});
+    }
 
     std::uint64_t
     footprintBytes() const override

@@ -3,10 +3,9 @@
 #ifndef SALAM_TESTS_CORE_ACCEL_FIXTURE_HH
 #define SALAM_TESTS_CORE_ACCEL_FIXTURE_HH
 
-#include "core/compute_unit.hh"
+#include "drive/testbench.hh"
 #include "ir/interpreter.hh"
 #include "ir/ir_builder.hh"
-#include "mem/scratchpad.hh"
 #include "sim/simulation.hh"
 
 namespace salam::test
@@ -15,33 +14,18 @@ namespace salam::test
 /** Address map used across the core tests. */
 constexpr std::uint64_t spmBase = 0x10000;
 constexpr std::uint64_t spmSize = 256 * 1024;
-constexpr std::uint64_t mmrBase = 0x2000;
 
 /** A single accelerator + private SPM system. */
 struct AccelSystem
 {
     Simulation sim;
-    mem::Scratchpad *spm = nullptr;
-    core::CommInterface *comm = nullptr;
-    core::ComputeUnit *cu = nullptr;
+    drive::Testbench bench;
 
     AccelSystem(const ir::Function &fn,
                 core::DeviceConfig dev = {},
                 mem::ScratchpadConfig spm_cfg = defaultSpm())
-    {
-        spm = &sim.create<mem::Scratchpad>("spm", dev.clockPeriod,
-                                           spm_cfg);
-
-        core::CommInterfaceConfig ccfg;
-        ccfg.mmrRange = mem::AddrRange{mmrBase, mmrBase + 32 * 8};
-        ccfg.dataPorts.push_back(
-            {"spm", {spm_cfg.range}});
-        comm = &sim.create<core::CommInterface>(
-            "comm", dev.clockPeriod, ccfg);
-        mem::bindPorts(comm->dataPort(0), spm->port(0));
-
-        cu = &sim.create<core::ComputeUnit>("acc", fn, dev, *comm);
-    }
+        : bench(sim, fn, dev, spm_cfg)
+    {}
 
     static mem::ScratchpadConfig
     defaultSpm()
@@ -58,28 +42,12 @@ struct AccelSystem
     std::uint64_t
     run(const std::vector<ir::RuntimeValue> &args)
     {
-        cu->start(args);
+        bench.cu.start(args);
         sim.run();
-        SALAM_ASSERT(cu->finished());
-        return cu->cycleCount();
+        SALAM_ASSERT(bench.cu.finished());
+        return bench.cu.cycleCount();
     }
 };
-
-/**
- * Execute @p fn functionally over a FlatMemory seeded by @p seed and
- * return that memory for comparison against the timed system.
- */
-inline std::unique_ptr<ir::FlatMemory>
-goldenRun(const ir::Function &fn,
-          const std::vector<ir::RuntimeValue> &args,
-          const std::function<void(ir::MemoryAccessor &)> &seed)
-{
-    auto mem = std::make_unique<ir::FlatMemory>();
-    seed(*mem);
-    ir::Interpreter interp(*mem);
-    interp.run(fn, args);
-    return mem;
-}
 
 } // namespace salam::test
 

@@ -16,7 +16,7 @@ using namespace salam::ir;
 using namespace salam::core;
 using salam::test::AccelSystem;
 using salam::test::TestRequester;
-using salam::test::mmrBase;
+using salam::drive::mmrBase;
 using salam::test::spmBase;
 
 TEST(CommInterface, MmrProgrammingStartsKernel)
@@ -27,19 +27,19 @@ TEST(CommInterface, MmrProgrammingStartsKernel)
     AccelSystem sys(*fn);
     for (int i = 0; i < 8; ++i) {
         std::int32_t v = i;
-        sys.spm->backdoorWrite(spmBase + 4u * static_cast<unsigned>(i),
-                               &v, 4);
-        sys.spm->backdoorWrite(
+        sys.bench.spm.backdoorWrite(spmBase + 4u * static_cast<unsigned>(i),
+                                    &v, 4);
+        sys.bench.spm.backdoorWrite(
             spmBase + 0x1000 + 4u * static_cast<unsigned>(i), &v, 4);
     }
 
     bool irq_fired = false;
-    sys.comm->setIrqCallback([&] { irq_fired = true; });
+    sys.bench.comm.setIrqCallback([&] { irq_fired = true; });
 
     // Program the accelerator the way a host driver would: args into
     // regs 1..3, then control with start | irq-enable.
     TestRequester host(sys.sim, "host");
-    mem::bindPorts(host, sys.comm->mmrPort());
+    mem::bindPorts(host, sys.bench.comm.mmrPort());
     host.write(0, mmrBase + 8, spmBase, 8);
     host.write(10, mmrBase + 16, spmBase + 0x1000, 8);
     host.write(20, mmrBase + 24, spmBase + 0x2000, 8);
@@ -47,12 +47,12 @@ TEST(CommInterface, MmrProgrammingStartsKernel)
                ctrl_bits::start | ctrl_bits::irqEnable, 8);
     sys.sim.run();
 
-    EXPECT_TRUE(sys.cu->finished());
-    EXPECT_TRUE(sys.comm->done());
-    EXPECT_FALSE(sys.comm->running());
+    EXPECT_TRUE(sys.bench.cu.finished());
+    EXPECT_TRUE(sys.bench.comm.done());
+    EXPECT_FALSE(sys.bench.comm.running());
     EXPECT_TRUE(irq_fired);
     std::int32_t got = 0;
-    sys.spm->backdoorRead(spmBase + 0x2000 + 12, &got, 4);
+    sys.bench.spm.backdoorRead(spmBase + 0x2000 + 12, &got, 4);
     EXPECT_EQ(got, 6);
 
     // Host reads status back over the bus.
@@ -69,9 +69,9 @@ TEST(CommInterface, RegisterFileReadWrite)
     IRBuilder b(mod);
     Function *fn = salam::test::buildVecAdd(b, 4);
     AccelSystem sys(*fn);
-    sys.comm->writeReg(5, 0xCAFEBABE);
-    EXPECT_EQ(sys.comm->readReg(5), 0xCAFEBABEu);
-    EXPECT_EQ(sys.comm->readReg(6), 0u);
+    sys.bench.comm.writeReg(5, 0xCAFEBABE);
+    EXPECT_EQ(sys.bench.comm.readReg(5), 0xCAFEBABEu);
+    EXPECT_EQ(sys.bench.comm.readReg(6), 0u);
 }
 
 TEST(Dma, MovesDataBetweenDramAndSpm)
@@ -173,7 +173,7 @@ TEST(PowerReport, BreakdownFieldsArePopulated)
              RuntimeValue::fromPointer(spmBase + 0x1000),
              RuntimeValue::fromPointer(spmBase + 0x2000)});
 
-    AcceleratorReport report = buildReport(*sys.cu, sys.spm);
+    AcceleratorReport report = buildReport(sys.bench.cu, &sys.bench.spm);
     EXPECT_GT(report.cycles, 0u);
     EXPECT_GT(report.runtimeNs, 0.0);
     EXPECT_GT(report.power.dynamicFuMw, 0.0);

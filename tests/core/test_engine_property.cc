@@ -150,7 +150,7 @@ TEST_P(EngineProperty, TimedEngineMatchesInterpreter)
             dev.readPortsPerCycle = ports;
             dev.writePortsPerCycle = ports;
             AccelSystem sys(*fn, dev);
-            mem::ScratchpadBackdoor backdoor(*sys.spm);
+            mem::ScratchpadBackdoor backdoor(sys.bench.spm);
             Rng data_rng(GetParam() ^ 0xDA7A);
             seedData(backdoor, spmBase, data_rng);
             sys.run({RuntimeValue::fromPointer(spmBase)});

@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <sstream>
 
-#include "core/compute_unit.hh"
+#include "drive/testbench.hh"
 #include "ir/ir_builder.hh"
 #include "kernels/machsuite.hh"
 #include "mem/backdoor.hh"
@@ -52,31 +52,17 @@ struct ProfiledGemm
         auto kernel = kernels::makeGemm(4, 1);
         ir::Function *fn = kernel->build(builder);
 
-        DeviceConfig dev;
-        constexpr std::uint64_t spm_base = 0x10000;
-        std::uint64_t spm_bytes =
-            ((kernel->footprintBytes() + 0xFFF) & ~0xFFFull) +
-            0x1000;
+        drive::MemoryConfig memcfg;
+        memcfg.spmLatency = latency;
+        memcfg.spmReadPorts = read_ports;
+        memcfg.spmWritePorts = 1;
+        drive::Testbench tb(sim, *fn, DeviceConfig{},
+                            drive::scratchpadFor(*kernel, memcfg));
+        cu = &tb.cu;
 
-        ScratchpadConfig scfg;
-        scfg.range = AddrRange{spm_base, spm_base + spm_bytes};
-        scfg.latencyCycles = latency;
-        scfg.readPorts = read_ports;
-        scfg.writePorts = 1;
-        auto &spm = sim.create<Scratchpad>("spm", dev.clockPeriod,
-                                           scfg);
-
-        CommInterfaceConfig ccfg;
-        ccfg.mmrRange = AddrRange{0x2000, 0x2000 + 256};
-        ccfg.dataPorts.push_back({"spm", {scfg.range}});
-        auto &comm = sim.create<CommInterface>(
-            "comm", dev.clockPeriod, ccfg);
-        bindPorts(comm.dataPort(0), spm.port(0));
-        cu = &sim.create<ComputeUnit>("acc", *fn, dev, comm);
-
-        ScratchpadBackdoor backdoor(spm);
-        kernel->seed(backdoor, spm_base);
-        cu->start(kernel->args(spm_base));
+        ScratchpadBackdoor backdoor(tb.spm);
+        kernel->seed(backdoor, drive::spmBase);
+        cu->start(kernel->args(drive::spmBase));
         sim.run();
         sim.finalizeAll();
 

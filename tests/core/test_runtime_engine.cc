@@ -118,10 +118,10 @@ TEST(RuntimeEngine, VecAddMatchesInterpreter)
                         c = spmBase + 0x2000;
     for (int i = 0; i < 32; ++i) {
         std::int32_t va = 3 * i - 5, vb = 7 * i + 2;
-        sys.spm->backdoorWrite(a + 4u * static_cast<unsigned>(i),
-                               &va, 4);
-        sys.spm->backdoorWrite(bb + 4u * static_cast<unsigned>(i),
-                               &vb, 4);
+        sys.bench.spm.backdoorWrite(a + 4u * static_cast<unsigned>(i),
+                                    &va, 4);
+        sys.bench.spm.backdoorWrite(bb + 4u * static_cast<unsigned>(i),
+                                    &vb, 4);
     }
     std::uint64_t cycles =
         sys.run({RuntimeValue::fromPointer(a),
@@ -130,8 +130,8 @@ TEST(RuntimeEngine, VecAddMatchesInterpreter)
 
     for (int i = 0; i < 32; ++i) {
         std::int32_t got = 0;
-        sys.spm->backdoorRead(c + 4u * static_cast<unsigned>(i),
-                              &got, 4);
+        sys.bench.spm.backdoorRead(c + 4u * static_cast<unsigned>(i),
+                                   &got, 4);
         EXPECT_EQ(got, (3 * i - 5) + (7 * i + 2)) << "i=" << i;
     }
     // Sanity: the run takes at least one cycle per iteration and
@@ -150,18 +150,18 @@ TEST(RuntimeEngine, DaxpyFloatingPointCorrect)
     const std::uint64_t x = spmBase, y = spmBase + 0x1000;
     for (int i = 0; i < 16; ++i) {
         double vx = 0.5 * i, vy = 100.0 - i;
-        sys.spm->backdoorWrite(x + 8u * static_cast<unsigned>(i),
-                               &vx, 8);
-        sys.spm->backdoorWrite(y + 8u * static_cast<unsigned>(i),
-                               &vy, 8);
+        sys.bench.spm.backdoorWrite(x + 8u * static_cast<unsigned>(i),
+                                    &vx, 8);
+        sys.bench.spm.backdoorWrite(y + 8u * static_cast<unsigned>(i),
+                                    &vy, 8);
     }
     sys.run({RuntimeValue::fromDouble(2.0),
              RuntimeValue::fromPointer(x),
              RuntimeValue::fromPointer(y)});
     for (int i = 0; i < 16; ++i) {
         double got = 0;
-        sys.spm->backdoorRead(y + 8u * static_cast<unsigned>(i),
-                              &got, 8);
+        sys.bench.spm.backdoorRead(y + 8u * static_cast<unsigned>(i),
+                                   &got, 8);
         EXPECT_DOUBLE_EQ(got, 2.0 * (0.5 * i) + (100.0 - i));
     }
 }
@@ -206,16 +206,16 @@ TEST(RuntimeEngine, DataDependentControlExecutesCorrectly)
     const std::uint64_t in = spmBase, out = spmBase + 0x1000;
     for (int i = 0; i < 16; ++i) {
         std::int64_t v = (i % 3 == 0) ? 100 + i : i;
-        sys.spm->backdoorWrite(in + 8u * static_cast<unsigned>(i),
-                               &v, 8);
+        sys.bench.spm.backdoorWrite(in + 8u * static_cast<unsigned>(i),
+                                    &v, 8);
     }
     sys.run({RuntimeValue::fromPointer(in),
              RuntimeValue::fromPointer(out),
              RuntimeValue::fromInt(mod.context().i64(), 50)});
     for (int i = 0; i < 16; ++i) {
         std::int64_t got = 0;
-        sys.spm->backdoorRead(out + 8u * static_cast<unsigned>(i),
-                              &got, 8);
+        sys.bench.spm.backdoorRead(out + 8u * static_cast<unsigned>(i),
+                                   &got, 8);
         std::int64_t v = (i % 3 == 0) ? 100 + i : i;
         EXPECT_EQ(got, v > 50 ? v << 1 : v) << "i=" << i;
     }
@@ -232,7 +232,7 @@ TEST(RuntimeEngine, DataDependentCyclesVaryWithInput)
         AccelSystem sys(*fn);
         for (int i = 0; i < 64; ++i) {
             std::int64_t v = trigger ? 100 : 1;
-            sys.spm->backdoorWrite(
+            sys.bench.spm.backdoorWrite(
                 spmBase + 8u * static_cast<unsigned>(i), &v, 8);
         }
         return sys.run(
@@ -268,9 +268,9 @@ TEST(RuntimeEngine, FuLimitsForceReuseAndSlowdown)
         AccelSystem sys(*fn, dev, scfg);
         for (int i = 0; i < 32; ++i) {
             double v = i;
-            sys.spm->backdoorWrite(
+            sys.bench.spm.backdoorWrite(
                 spmBase + 8u * static_cast<unsigned>(i), &v, 8);
-            sys.spm->backdoorWrite(
+            sys.bench.spm.backdoorWrite(
                 spmBase + 0x1000 + 8u * static_cast<unsigned>(i),
                 &v, 8);
         }
@@ -320,7 +320,7 @@ TEST(RuntimeEngine, StatsAreConsistent)
              RuntimeValue::fromPointer(spmBase + 0x1000),
              RuntimeValue::fromPointer(spmBase + 0x2000)});
 
-    const EngineStats &stats = sys.cu->stats();
+    const EngineStats &stats = sys.bench.cu.stats();
     EXPECT_EQ(stats.newExecCycles + stats.stallCycles,
               stats.totalCycles);
     EXPECT_EQ(stats.loadsIssued, 64u);  // 2 loads x 32 iterations
@@ -351,7 +351,7 @@ TEST(RuntimeEngine, MemoryOrderingPreservesRaw)
     sys.run({RuntimeValue::fromPointer(spmBase),
              RuntimeValue::fromPointer(spmBase + 0x100)});
     std::int64_t got = 0;
-    sys.spm->backdoorRead(spmBase + 0x100, &got, 8);
+    sys.bench.spm.backdoorRead(spmBase + 0x100, &got, 8);
     EXPECT_EQ(got, 1234);
 }
 

@@ -47,7 +47,7 @@ simulatePoint(std::size_t idx)
     spm_cfg.writePorts = ports;
     test::AccelSystem sys(*fn, dev, spm_cfg);
 
-    mem::ScratchpadBackdoor backdoor(*sys.spm);
+    mem::ScratchpadBackdoor backdoor(sys.bench.spm);
     kernel->seed(backdoor, test::spmBase);
     std::uint64_t cycles = sys.run(kernel->args(test::spmBase));
     std::string check = kernel->check(backdoor, test::spmBase);

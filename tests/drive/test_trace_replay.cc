@@ -38,17 +38,17 @@ runFull(const core::DeviceConfig &dev,
 
     test::AccelSystem sys(*fn, dev, spm_cfg);
     if (capture != nullptr)
-        sys.cu->enableTraceCapture(capture);
+        sys.bench.cu.enableTraceCapture(capture);
 
-    mem::ScratchpadBackdoor backdoor(*sys.spm);
+    mem::ScratchpadBackdoor backdoor(sys.bench.spm);
     kernel->seed(backdoor, test::spmBase);
     sys.run(kernel->args(test::spmBase));
     EXPECT_EQ(kernel->check(backdoor, test::spmBase), "");
 
     FullRun out;
-    out.stats = sys.cu->stats();
-    out.spmReads = sys.spm->readCount();
-    out.spmWrites = sys.spm->writeCount();
+    out.stats = sys.bench.cu.stats();
+    out.spmReads = sys.bench.spm.readCount();
+    out.spmWrites = sys.bench.spm.writeCount();
     return out;
 }
 
@@ -62,9 +62,9 @@ struct Captured
 };
 
 /**
- * Capture regime mirroring captureTraceEntry(): wide ports so the
- * capture run is cheap, block-sequential import left at the replay
- * configs' (default) value — the one knob that must agree.
+ * Capture regime mirroring drive::runPoint()'s capture: wide ports
+ * so the capture run is cheap, block-sequential import left at the
+ * replay configs' (default) value — the one knob that must agree.
  */
 const Captured &
 captured()

@@ -29,7 +29,7 @@ runTimed(const Kernel &kernel, std::string *failure,
     dev.readPortsPerCycle = 4;
     dev.writePortsPerCycle = 4;
     AccelSystem sys(*fn, dev);
-    mem::ScratchpadBackdoor backdoor(*sys.spm);
+    mem::ScratchpadBackdoor backdoor(sys.bench.spm);
     kernel.seed(backdoor, spmBase);
     std::uint64_t cycles = sys.run(kernel.args(spmBase));
     *failure = kernel.check(backdoor, spmBase);
