@@ -777,7 +777,11 @@ TraceReplayer::handleCandidate(std::uint32_t seq, std::uint64_t cyc)
             pendingImport = target;
             pendingImportFrom = cur;
         } else {
+            // The branch still holds its reservation slot during the
+            // import, as in the engine's capacity check.
+            ++unissuedCount;
             importBlock(target, cur);
+            --unissuedCount;
         }
         issuedAny = true;
         ++stats.otherOpsIssued;

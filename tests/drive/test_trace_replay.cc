@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 
 #include "core/accel_fixture.hh"
 #include "core/dyn_trace.hh"
@@ -24,26 +26,46 @@ struct FullRun
     std::uint64_t spmWrites = 0;
 };
 
+/** The replay tests' default workload: a small unrolled GEMM. */
+constexpr const char *smallGemm = "gemm-8u2";
+
+std::unique_ptr<kernels::Kernel>
+kernelFor(const std::string &name)
+{
+    if (name == smallGemm)
+        return kernels::makeGemm(8, 2);
+    return kernels::makeKernel(name);
+}
+
+/** @p spm_cfg with its address range sized for @p kernel. */
+mem::ScratchpadConfig
+sizedFor(const kernels::Kernel &kernel, mem::ScratchpadConfig spm_cfg)
+{
+    drive::MemoryConfig memcfg;
+    spm_cfg.range = drive::scratchpadFor(kernel, memcfg).range;
+    return spm_cfg;
+}
+
 FullRun
-runFull(const core::DeviceConfig &dev,
+runFull(const std::string &name, const core::DeviceConfig &dev,
         const mem::ScratchpadConfig &spm_cfg,
         core::DynTrace *capture = nullptr)
 {
     // Fresh IR per run, like the benches: kernel IR construction is
     // deterministic, so static ids agree across builds.
-    auto kernel = kernels::makeGemm(8, 2);
+    auto kernel = kernelFor(name);
     ir::Module mod("replay_full");
     ir::IRBuilder b(mod);
     ir::Function *fn = kernel->buildOptimized(b);
 
-    test::AccelSystem sys(*fn, dev, spm_cfg);
+    test::AccelSystem sys(*fn, dev, sizedFor(*kernel, spm_cfg));
     if (capture != nullptr)
         sys.bench.cu.enableTraceCapture(capture);
 
     mem::ScratchpadBackdoor backdoor(sys.bench.spm);
     kernel->seed(backdoor, test::spmBase);
     sys.run(kernel->args(test::spmBase));
-    EXPECT_EQ(kernel->check(backdoor, test::spmBase), "");
+    EXPECT_EQ(kernel->check(backdoor, test::spmBase), "") << name;
 
     FullRun out;
     out.stats = sys.bench.cu.stats();
@@ -52,7 +74,7 @@ runFull(const core::DeviceConfig &dev,
     return out;
 }
 
-/** Captured trace + replay IR, shared by every replay in the file. */
+/** Captured trace + replay IR, shared by every replay of a kernel. */
 struct Captured
 {
     core::DynTrace trace;
@@ -65,38 +87,42 @@ struct Captured
  * Capture regime mirroring drive::runPoint()'s capture: wide ports
  * so the capture run is cheap, block-sequential import left at the
  * replay configs' (default) value — the one knob that must agree.
+ * One capture per kernel, cached for the whole file.
  */
 const Captured &
-captured()
+captured(const std::string &name = smallGemm)
 {
-    static Captured c = [] {
-        Captured out;
-        core::DeviceConfig cap;
-        cap.readPortsPerCycle = 64;
-        cap.writePortsPerCycle = 64;
-        cap.readQueueSize = 64;
-        cap.writeQueueSize = 64;
-        mem::ScratchpadConfig scfg = test::AccelSystem::defaultSpm();
-        scfg.readPorts = 64;
-        scfg.writePorts = 64;
-        runFull(cap, scfg, &out.trace);
+    static std::map<std::string, std::unique_ptr<Captured>> cache;
+    std::unique_ptr<Captured> &slot = cache[name];
+    if (slot != nullptr)
+        return *slot;
+    slot = std::make_unique<Captured>();
+    Captured &out = *slot;
+    core::DeviceConfig cap;
+    cap.readPortsPerCycle = 64;
+    cap.writePortsPerCycle = 64;
+    cap.readQueueSize = 64;
+    cap.writeQueueSize = 64;
+    mem::ScratchpadConfig scfg = test::AccelSystem::defaultSpm();
+    scfg.readPorts = 64;
+    scfg.writePorts = 64;
+    runFull(name, cap, scfg, &out.trace);
 
-        auto kernel = kernels::makeGemm(8, 2);
-        out.mod = std::make_shared<ir::Module>("replay_ir");
-        ir::IRBuilder b(*out.mod);
-        out.fn = kernel->buildOptimized(b);
-        core::StaticCdfg cdfg(*out.fn, cap);
-        out.prep = drive::buildReplayPrep(cdfg, out.trace);
-        return out;
-    }();
-    return c;
+    auto kernel = kernelFor(name);
+    out.mod = std::make_shared<ir::Module>("replay_ir");
+    ir::IRBuilder b(*out.mod);
+    out.fn = kernel->buildOptimized(b);
+    core::StaticCdfg cdfg(*out.fn, cap);
+    out.prep = drive::buildReplayPrep(cdfg, out.trace);
+    return out;
 }
 
 drive::ReplayResult
 replayPoint(const core::DeviceConfig &dev,
-            const mem::ScratchpadConfig &spm_cfg)
+            const mem::ScratchpadConfig &spm_cfg,
+            const std::string &name = smallGemm)
 {
-    const Captured &c = captured();
+    const Captured &c = captured(name);
     core::StaticCdfg cdfg(*c.fn, dev);
     drive::ReplaySpmConfig spm;
     spm.rangeStart = test::spmBase;
@@ -193,7 +219,10 @@ TEST(TraceReplay, PrepBuildsCleanly)
 /**
  * The tentpole guarantee: replaying the captured trace under a
  * different FU/port/latency/bank configuration produces the exact
- * EngineStats a full simulation of that configuration produces.
+ * EngineStats a full simulation of that configuration produces —
+ * for every kernel the fast path accepts. The full runs are also the
+ * event-driven engine checked field by field against the replay, an
+ * independent scheduler.
  */
 TEST(TraceReplay, FastMatchesFullAcrossConfigs)
 {
@@ -203,18 +232,29 @@ TEST(TraceReplay, FastMatchesFullAcrossConfigs)
         {"fu_limited", 2, 1, 1, 1},
         {"slow_banked_spm", 4, 2, 4, 2},
     };
-    for (const PointConfig &p : grid) {
-        SCOPED_TRACE(p.name);
-        core::DeviceConfig dev;
-        mem::ScratchpadConfig spm;
-        toConfigs(p, dev, spm);
+    const char *const names[] = {
+        smallGemm,   "bfs-queue", "fft-strided", "gemm",
+        "md-grid",   "md-knn",    "nw",          "spmv-crs",
+        "stencil2d", "stencil3d", "conv2d",      "relu",
+        "maxpool",
+    };
+    for (const char *name : names) {
+        SCOPED_TRACE(name);
+        const Captured &c = captured(name);
+        for (const PointConfig &p : grid) {
+            SCOPED_TRACE(p.name);
+            core::DeviceConfig dev;
+            mem::ScratchpadConfig spm;
+            toConfigs(p, dev, spm);
+            ASSERT_EQ(drive::fastPathBlocker(c.trace, dev, false), "");
 
-        FullRun full = runFull(dev, spm);
-        drive::ReplayResult fast = replayPoint(dev, spm);
-        ASSERT_TRUE(fast.ok) << fast.error;
-        expectStatsEqual(fast.stats, full.stats);
-        EXPECT_EQ(fast.spmReads, full.spmReads);
-        EXPECT_EQ(fast.spmWrites, full.spmWrites);
+            FullRun full = runFull(name, dev, spm);
+            drive::ReplayResult fast = replayPoint(dev, spm, name);
+            ASSERT_TRUE(fast.ok) << fast.error;
+            expectStatsEqual(fast.stats, full.stats);
+            EXPECT_EQ(fast.spmReads, full.spmReads);
+            EXPECT_EQ(fast.spmWrites, full.spmWrites);
+        }
     }
 }
 
