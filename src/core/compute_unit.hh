@@ -66,6 +66,10 @@ class ComputeUnit : public ClockedObject, private EngineClient
 
     const EngineStats &stats() const { return engine.stats(); }
 
+    /** Host-side issue-scheduler work (not simulated state). */
+    const SchedulerWork &schedulerWork() const
+    { return engine.schedulerWork(); }
+
     const StaticCdfg &cdfg() const { return staticCdfg; }
 
     /**

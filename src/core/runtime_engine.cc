@@ -1,6 +1,7 @@
 #include "runtime_engine.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "mem/packet.hh"
@@ -11,6 +12,21 @@ namespace salam::core
 
 using namespace salam::ir;
 using namespace salam::hw;
+
+namespace
+{
+
+/** Initial window ring capacity (a power of two, >= 128). */
+constexpr std::size_t initialWindowCapacity = 1024;
+
+/** Operand slot of a memory op's pointer. */
+std::size_t
+pointerSlot(const DynInst &di)
+{
+    return di.isLoad ? 0 : 1;
+}
+
+} // namespace
 
 const std::vector<std::string> &
 RuntimeEngine::stallLaneNames()
@@ -42,6 +58,8 @@ RuntimeEngine::RuntimeEngine(const StaticCdfg &cdfg,
         if (limit > 0)
             poolFreeAt[t].assign(limit, 0);
     }
+    windowRing.assign(initialWindowCapacity, nullptr);
+    candBits.assign(initialWindowCapacity / 64, 0);
     latestInstance.assign(staticCdfg.numInstructions(), nullptr);
     committedValues.assign(staticCdfg.numValueIds(), RuntimeValue{});
     committedKnown.assign(staticCdfg.numValueIds(), 0);
@@ -67,8 +85,8 @@ RuntimeEngine::start(const std::vector<RuntimeValue> &args)
     cycleCount = 0;
     importBlock(fn.entry(), nullptr);
     // The entry block may issue in cycle 0.
-    for (DynInst *di : window)
-        di->minIssueCycle = 0;
+    for (std::uint64_t s = windowFront; s < nextSeq; ++s)
+        windowAt(s)->minIssueCycle = 0;
     client.engineRequestTick();
 }
 
@@ -94,7 +112,13 @@ RuntimeEngine::createDynInst(const StaticInstInfo &info)
     DynInst *di = acquireDynInst();
     di->inst = inst;
     di->staticInfo = &info;
-    di->seq = nextSeq++;
+    di->seq = nextSeq;
+    // Keep a word of slack so the sweep's word walk never wraps
+    // onto the window's own front.
+    if (nextSeq + 1 - windowFront + 64 > windowRing.size())
+        growWindow();
+    windowRing[nextSeq & (windowRing.size() - 1)] = di;
+    ++nextSeq;
     di->minIssueCycle = cycleCount + 1;
     di->ctrlParentSeq = importCtrlSeq;
     di->ctrlLinkCause = importCtrlCause;
@@ -111,12 +135,27 @@ RuntimeEngine::createDynInst(const StaticInstInfo &info)
     }
     latest = di;
 
-    window.push_back(di);
     ++engineStats.dynamicInstructions;
     if (capture != nullptr)
         capture->insts.push_back({info.id, DynTrace::noBranchTarget,
                                   0, 0});
     return di;
+}
+
+void
+RuntimeEngine::growWindow()
+{
+    const std::size_t cap = windowRing.size() * 2;
+    std::vector<DynInst *> ring(cap, nullptr);
+    std::vector<std::uint64_t> bits(cap / 64, 0);
+    for (std::uint64_t s = windowFront; s < nextSeq; ++s) {
+        ring[s & (cap - 1)] = windowAt(s);
+        std::uint64_t bit = 1ull << (s & 63);
+        if (candidateWord(s) & bit)
+            bits[(s >> 6) & (cap / 64 - 1)] |= bit;
+    }
+    windowRing.swap(ring);
+    candBits.swap(bits);
 }
 
 void
@@ -130,8 +169,7 @@ RuntimeEngine::importBlock(const BasicBlock *block,
               "DeviceConfig::reservationQueueSize",
               block->name().c_str(), block->size(),
               cfg.reservationQueueSize);
-    if (reservationLive() + binfo.numInsts >
-        cfg.reservationQueueSize) {
+    if (unissuedCount + binfo.numInsts > cfg.reservationQueueSize) {
         pendingImport = block;
         pendingImportFrom = from;
         pendingImportCtrlSeq = importCtrlSeq;
@@ -176,6 +214,8 @@ RuntimeEngine::importBlock(const BasicBlock *block,
                 if (latest != nullptr && !latest->committed) {
                     di->producers[slot] = latest;
                     ++latest->unissuedReaders;
+                    latest->readers.push_back(di);
+                    ++di->pendingOperands;
                     return;
                 }
                 if (latest != nullptr) {
@@ -219,26 +259,44 @@ RuntimeEngine::importBlock(const BasicBlock *block,
                 bind_plan(o, sinfo.operands[o]);
         }
 
-        reservationQueue.push_back(di);
+        ++unissuedCount;
+        fenced.push_back(di);
         if (di->isMemory()) {
             di->memSeq = nextMemSeq++;
             memoryOrder.push_back(di);
-            if (di->isLoad)
-                ++pendingLoadOps;
-            else
-                ++pendingStoreOps;
         }
     }
 }
 
-bool
-RuntimeEngine::operandsReady(const DynInst &di) const
+void
+RuntimeEngine::setCandidate(DynInst *di)
 {
-    for (const DynInst *producer : di.producers) {
-        if (producer != nullptr && !producer->committed)
-            return false;
+    std::uint64_t bit = 1ull << (di->seq & 63);
+    std::uint64_t &word = candidateWord(di->seq);
+    if ((word & bit) == 0) {
+        word |= bit;
+        ++work.wakeups;
     }
-    return true;
+}
+
+void
+RuntimeEngine::wake(DynInst *di)
+{
+    if (!di->issued && di->pendingOperands == 0 &&
+        di->minIssueCycle <= cycleCount) {
+        setCandidate(di);
+    }
+}
+
+void
+RuntimeEngine::markIssued(DynInst *di)
+{
+    di->issued = true;
+    di->issueCycle = cycleCount;
+    clearCandidate(di);
+    // Issuing may open the successor instance's hand-off gate.
+    if (di->nextInstance != nullptr)
+        wake(di->nextInstance);
 }
 
 void
@@ -250,7 +308,12 @@ RuntimeEngine::captureOperands(DynInst *di)
             SALAM_ASSERT(producer->committed);
             di->operandValues[i] = producer->result;
             SALAM_ASSERT(producer->unissuedReaders > 0);
-            --producer->unissuedReaders;
+            // Draining the producer's output register may open its
+            // successor instance's hand-off gate.
+            if (--producer->unissuedReaders == 0 &&
+                producer->nextInstance != nullptr) {
+                wake(producer->nextInstance);
+            }
             di->producers[i] = nullptr;
             // Remember the latest-committing producer: it is the
             // critical data predecessor in the recorded CDFG.
@@ -267,29 +330,29 @@ RuntimeEngine::captureOperands(DynInst *di)
 }
 
 bool
+RuntimeEngine::handOffOpen(const DynInst &di) const
+{
+    // WAW/WAR against the previous instance of this instruction: the
+    // destination register cannot be rewritten before the previous
+    // value was produced and every reader of it has captured it.
+    const DynInst *prev = di.prevInstance;
+    return prev == nullptr ||
+        (prev->issued && prev->unissuedReaders == 0);
+}
+
+bool
 RuntimeEngine::fuAvailable(const DynInst &di) const
 {
-    FuType type = di.staticInfo->fu;
-    if (type == FuType::None)
-        return true;
-
-    // WAW/WAR against the previous instance of this instruction:
-    // the shared (or dedicated) unit enforces the initiation
-    // interval, and the destination register cannot be rewritten
-    // while readers of the previous value are pending.
+    // The shared (or dedicated) unit enforces the initiation
+    // interval against the previous instance.
     const DynInst *prev = di.prevInstance;
-    if (prev != nullptr) {
-        if (!prev->issued)
-            return false;
-        if (cycleCount <
+    if (prev != nullptr &&
+        cycleCount <
             prev->issueCycle + di.staticInfo->initiationInterval) {
-            return false;
-        }
-        if (prev->unissuedReaders > 0)
-            return false;
+        return false;
     }
 
-    std::size_t t = static_cast<std::size_t>(type);
+    std::size_t t = static_cast<std::size_t>(di.staticInfo->fu);
     unsigned limit = cfg.fuLimits[t];
     if (limit == 0)
         return true; // dedicated unit per static instruction
@@ -324,7 +387,7 @@ RuntimeEngine::resolveAddress(DynInst *di)
 {
     if (di->addrKnown)
         return;
-    std::size_t ptr_slot = di->isLoad ? 0 : 1;
+    std::size_t ptr_slot = pointerSlot(*di);
     const DynInst *producer = di->producers[ptr_slot];
     RuntimeValue addr;
     if (producer == nullptr) {
@@ -345,6 +408,10 @@ RuntimeEngine::resolveAddress(DynInst *di)
             store->value()->type()->storeSize());
     }
     di->addrKnown = true;
+    // Resolutions happen only in the sweep, whose ordering checks
+    // use the summary as of the sweep's start.
+    SALAM_ASSERT(inScan);
+    summaryPending.emplace_back(di, false);
     if (capture != nullptr) {
         DynTraceInst &rec = capture->insts[di->seq];
         rec.memAddr = di->memAddr;
@@ -353,32 +420,57 @@ RuntimeEngine::resolveAddress(DynInst *di)
 }
 
 void
-RuntimeEngine::buildMemorySummary()
+RuntimeEngine::noteAddressReady(DynInst *di)
 {
-    memSummary.unknownStoreSeq = ~0ull;
-    memSummary.unknownLoadSeq = ~0ull;
-    memSummary.stores.clear();
-    memSummary.loads.clear();
-    for (const DynInst *op : memoryOrder) {
-        if (op->committed)
-            continue;
-        if (op->isStore) {
-            if (!op->addrKnown) {
-                memSummary.unknownStoreSeq = std::min(
-                    memSummary.unknownStoreSeq, op->memSeq);
-            } else {
-                memSummary.stores.push_back(
-                    {op->memSeq, op->memAddr, op->memSize});
-            }
-        } else {
-            if (!op->addrKnown) {
-                memSummary.unknownLoadSeq = std::min(
-                    memSummary.unknownLoadSeq, op->memSeq);
-            } else {
-                memSummary.loads.push_back(
-                    {op->memSeq, op->memAddr, op->memSize});
-            }
+    // The reservation-queue scan resolves an address when it visits
+    // the op with its pointer committed and its fence passed. Before
+    // the fence, the fence step resolves it.
+    if (di->addrKnown || di->minIssueCycle > cycleCount)
+        return;
+    if (inScan && di->seq > scanCursor) {
+        resolveAddress(di); // still ahead in this cycle's sweep
+        return;
+    }
+    resolveDue.emplace_back(inScan ? cycleCount + 1 : cycleCount, di);
+}
+
+void
+RuntimeEngine::snapshotUnknowns()
+{
+    // Every op older than a cursor has a resolved address (or left
+    // the window), so each cursor only moves forward.
+    const std::uint64_t base = memoryOrder.empty()
+        ? nextMemSeq
+        : memoryOrder.front()->memSeq;
+    auto first_unknown = [&](std::uint64_t &cursor,
+                             bool stores) -> std::uint64_t {
+        cursor = std::max(cursor, base);
+        for (; cursor < nextMemSeq; ++cursor) {
+            const DynInst *op = memoryOrder[cursor - base];
+            if (op->isStore == stores && !op->addrKnown)
+                return cursor;
         }
+        return ~0ull;
+    };
+    snapUnknownStore = first_unknown(unknownStoreCursor, true);
+    snapUnknownLoad = first_unknown(unknownLoadCursor, false);
+}
+
+void
+RuntimeEngine::updateSummary(const DynInst *op, bool committed)
+{
+    ++work.summaryUpdates;
+    std::vector<MemRef> &refs = op->isStore ? knownStores : knownLoads;
+    auto by_seq = [](const MemRef &ref, std::uint64_t seq) {
+        return ref.seq < seq;
+    };
+    auto it = std::lower_bound(refs.begin(), refs.end(), op->memSeq,
+                               by_seq);
+    if (committed) {
+        SALAM_ASSERT(it != refs.end() && it->seq == op->memSeq);
+        refs.erase(it);
+    } else {
+        refs.insert(it, {op->memSeq, op->memAddr, op->memSize});
     }
 }
 
@@ -388,27 +480,27 @@ RuntimeEngine::memoryOrderingAllows(const DynInst &di) const
     SALAM_ASSERT(di.addrKnown);
     // Unknown-address older stores block everything younger;
     // unknown older loads block younger stores.
-    if (memSummary.unknownStoreSeq < di.memSeq)
+    if (snapUnknownStore < di.memSeq)
         return false;
-    if (di.isStore && memSummary.unknownLoadSeq < di.memSeq)
+    if (di.isStore && snapUnknownLoad < di.memSeq)
         return false;
 
-    auto overlaps = [&](const MemRef &ref) {
-        return ref.seq < di.memSeq &&
-            ref.addr < di.memAddr + di.memSize &&
-            di.memAddr < ref.addr + ref.size;
-    };
-    for (const MemRef &store : memSummary.stores) {
-        if (overlaps(store))
-            return false;
-    }
-    if (di.isStore) {
-        for (const MemRef &load : memSummary.loads) {
-            if (overlaps(load))
+    // Any overlapping older store blocks; stores also wait for
+    // overlapping older loads.
+    auto older_overlap = [&](const std::vector<MemRef> &refs) {
+        for (const MemRef &ref : refs) {
+            if (ref.seq >= di.memSeq)
                 return false;
+            if (ref.addr < di.memAddr + di.memSize &&
+                di.memAddr < ref.addr + ref.size) {
+                return true;
+            }
         }
-    }
-    return true;
+        return false;
+    };
+    if (older_overlap(knownStores))
+        return false;
+    return !(di.isStore && older_overlap(knownLoads));
 }
 
 void
@@ -421,8 +513,7 @@ RuntimeEngine::issueCompute(DynInst *di)
                    static_cast<unsigned>(di->staticInfo->fu));
     captureOperands(di);
     occupyFu(di);
-    di->issued = true;
-    di->issueCycle = cycleCount;
+    markIssued(di);
     if (observer.sink)
         di->issueTick = obsNow();
 
@@ -454,6 +545,8 @@ RuntimeEngine::issueCompute(DynInst *di)
     } else {
         di->commitCycle = cycleCount + latency;
         computeQueue.push_back(di);
+        nextCommitDue = std::min(nextCommitDue, di->commitCycle);
+        ++fuInflight[static_cast<std::size_t>(di->staticInfo->fu)];
     }
 }
 
@@ -487,6 +580,24 @@ RuntimeEngine::commit(DynInst *di)
     }
     if (observer.profiler != nullptr)
         recordProfile(di);
+
+    // Wake readers: each bound a RAW edge to this instance at import.
+    for (DynInst *reader : di->readers) {
+        SALAM_ASSERT(reader->pendingOperands > 0);
+        --reader->pendingOperands;
+        if (reader->isMemory() &&
+            reader->producers[pointerSlot(*reader)] == di) {
+            noteAddressReady(reader);
+        }
+        wake(reader);
+    }
+    di->readers.clear();
+    if (di->isMemory()) {
+        if (inScan)
+            summaryPending.emplace_back(di, true);
+        else
+            updateSummary(di, true);
+    }
 }
 
 void
@@ -575,8 +686,8 @@ RuntimeEngine::pruneWindow()
     // may leave once it is committed, every reader has captured its
     // result, and a newer instance of the same static instruction
     // has issued (so nothing consults it for WAW/WAR any more).
-    while (!window.empty()) {
-        DynInst *front = window.front();
+    while (windowFront < nextSeq) {
+        DynInst *front = windowAt(windowFront);
         if (!front->committed || front->unissuedReaders > 0)
             break;
         if (front->nextInstance != nullptr &&
@@ -601,23 +712,17 @@ RuntimeEngine::pruneWindow()
                          memoryOrder.front() == front);
             memoryOrder.pop_front();
         }
-        window.pop_front();
+        ++windowFront;
         releaseDynInst(front);
     }
 }
 
 void
-RuntimeEngine::recordCycleStats(bool issued_any,
-                                unsigned loads_issued,
-                                unsigned stores_issued,
-                                unsigned fp_issued)
+RuntimeEngine::recordCycleStats(const IssueTally &tally)
 {
     // In-flight FU occupancy by type.
-    for (const DynInst *op : computeQueue) {
-        std::size_t t =
-            static_cast<std::size_t>(op->staticInfo->fu);
-        ++engineStats.fuBusyCycleSum[t];
-    }
+    for (std::size_t t = 0; t < numFuTypes; ++t)
+        engineStats.fuBusyCycleSum[t] += fuInflight[t];
 
     if (observer.memQueueOccupancy) {
         observer.memQueueOccupancy->sample(
@@ -625,30 +730,30 @@ RuntimeEngine::recordCycleStats(bool issued_any,
     }
     if (observer.reservationOccupancy) {
         observer.reservationOccupancy->sample(
-            static_cast<double>(reservationQueue.size()));
+            static_cast<double>(unissuedCount));
     }
     if (observer.sink) {
         observer.sink->recordCounter(
             obsNow(), observer.name, "queues",
             {{"reservation",
-              static_cast<double>(reservationQueue.size())},
+              static_cast<double>(unissuedCount)},
              {"compute", static_cast<double>(computeQueue.size())},
              {"loads_in_flight", static_cast<double>(loadsInFlight)},
              {"stores_in_flight",
               static_cast<double>(storesInFlight)}});
     }
 
-    if (issued_any) {
+    if (tally.any) {
         ++engineStats.newExecCycles;
-        if (loads_issued > 0)
+        if (tally.loads > 0)
             ++engineStats.cyclesWithLoadIssue;
-        if (stores_issued > 0)
+        if (tally.stores > 0)
             ++engineStats.cyclesWithStoreIssue;
-        if (fp_issued > 0)
+        if (tally.fp > 0)
             ++engineStats.cyclesWithFpIssue;
-        if (loads_issued > 0 && stores_issued > 0)
+        if (tally.loads > 0 && tally.stores > 0)
             ++engineStats.cyclesWithLoadAndStoreIssue;
-        if (loads_issued > 0 && fp_issued > 0)
+        if (tally.loads > 0 && tally.fp > 0)
             ++engineStats.cyclesWithLoadAndFpIssue;
         return;
     }
@@ -696,8 +801,7 @@ RuntimeEngine::dumpState(obs::JsonBuilder &json) const
 {
     json.field("active", active).field("completed", completed);
     json.field("cycle", cycleCount);
-    json.field("window",
-               static_cast<std::uint64_t>(window.size()));
+    json.field("window", nextSeq - windowFront);
     json.field("loads_in_flight", std::uint64_t(loadsInFlight));
     json.field("stores_in_flight", std::uint64_t(storesInFlight));
     json.field("committed_instructions",
@@ -724,8 +828,10 @@ RuntimeEngine::dumpState(obs::JsonBuilder &json) const
     };
 
     json.beginArray("reservation_queue");
-    for (const DynInst *di : reservationQueue)
-        describe(di);
+    for (std::uint64_t s = windowFront; s < nextSeq; ++s) {
+        if (!windowAt(s)->issued)
+            describe(windowAt(s));
+    }
     json.endArray();
     json.beginArray("compute_queue");
     for (const DynInst *di : computeQueue)
@@ -756,20 +862,179 @@ RuntimeEngine::finish()
 }
 
 void
+RuntimeEngine::visit(DynInst *di, IssueTally &tally)
+{
+    ++work.visits;
+    Opcode op = di->inst->opcode();
+    if (op == Opcode::Br) {
+        const auto *br = static_cast<const BranchInst *>(di->inst);
+        captureOperands(di);
+        const BasicBlock *target;
+        if (br->isConditional()) {
+            target = di->operandValues[0].asBool() ? br->ifTrue()
+                                                   : br->ifFalse();
+        } else {
+            target = br->ifTrue();
+        }
+        markIssued(di);
+        commit(di);
+        if (capture != nullptr) {
+            capture->insts[di->seq].branchTarget =
+                staticCdfg.blockInfo(target).id;
+        }
+        const BasicBlock *cur = di->inst->parent();
+        if (cfg.blockSequentialImport && target != cur &&
+            pendingImport == nullptr) {
+            // Defer the state transition until drain.
+            pendingImport = target;
+            pendingImportFrom = cur;
+            pendingImportCtrlSeq = di->seq;
+        } else {
+            importCtrlSeq = di->seq;
+            // The branch still occupies its queue slot during the
+            // import (it is released just below), matching the
+            // historical erase-after-import capacity accounting.
+            importBlock(target, cur);
+            importCtrlSeq = obs::noProfSeq;
+        }
+        --unissuedCount;
+        tally.any = true;
+        ++engineStats.otherOpsIssued;
+        if (observer.issueClasses)
+            observer.issueClasses->add(laneOther);
+        return;
+    }
+    if (op == Opcode::Ret) {
+        captureOperands(di);
+        if (di->inst->numOperands() == 1)
+            di->result = di->operandValues[0];
+        markIssued(di);
+        commit(di);
+        retSeen = true;
+        --unissuedCount;
+        tally.any = true;
+        ++engineStats.otherOpsIssued;
+        if (observer.issueClasses)
+            observer.issueClasses->add(laneOther);
+        return;
+    }
+
+    if (di->isMemory()) {
+        // Operands are ready, so the pointer resolved by now.
+        SALAM_ASSERT(di->addrKnown);
+        if (!memoryOrderingAllows(*di)) {
+            di->waitCause = obs::ProfCause::MemOrdering;
+            return;
+        }
+        bool is_load = di->isLoad;
+        if (is_load && (tally.loads >= cfg.readPortsPerCycle ||
+                        loadsInFlight >= cfg.readQueueSize)) {
+            tally.loadBlocked = true;
+            di->waitCause = obs::ProfCause::MemPort;
+            return;
+        }
+        if (!is_load && (tally.stores >= cfg.writePortsPerCycle ||
+                         storesInFlight >= cfg.writeQueueSize)) {
+            tally.storeBlocked = true;
+            di->waitCause = obs::ProfCause::MemPort;
+            return;
+        }
+        captureOperands(di);
+        if (!client.engineIssueMemory(di)) {
+            // Interface refused; operands stay captured, retry next
+            // cycle (captureOperands is idempotent once producers
+            // are cleared).
+            di->waitCause = obs::ProfCause::MemPort;
+            return;
+        }
+        markIssued(di);
+        di->memInFlight = true;
+        if (observer.sink)
+            di->issueTick = obsNow();
+        SALAM_TRACE_AT(Issue, obsNow(), observer.name,
+                       "issue %s seq=%llu addr=0x%llx size=%u",
+                       is_load ? "load" : "store",
+                       (unsigned long long)di->seq,
+                       (unsigned long long)di->memAddr, di->memSize);
+        if (is_load) {
+            ++loadsInFlight;
+            ++tally.loads;
+            ++engineStats.loadsIssued;
+            if (observer.issueClasses)
+                observer.issueClasses->add(laneLoad);
+        } else {
+            ++storesInFlight;
+            ++tally.stores;
+            ++engineStats.storesIssued;
+            if (observer.issueClasses)
+                observer.issueClasses->add(laneStore);
+        }
+        tally.any = true;
+        --unissuedCount;
+        return;
+    }
+
+    // Compute ops (including phi and zero-latency wiring).
+    if (di->staticInfo->fu != FuType::None) {
+        if (!handOffOpen(*di)) {
+            // Parked until the previous instance issues or its last
+            // reader captures; both re-arm this one.
+            di->waitCause = obs::ProfCause::FuContention;
+            clearCandidate(di);
+            return;
+        }
+        if (!fuAvailable(*di)) {
+            di->waitCause = obs::ProfCause::FuContention;
+            return;
+        }
+    }
+    issueCompute(di);
+    tally.any = true;
+    --unissuedCount;
+    if (isFloatingPointOp(op) ||
+        di->staticInfo->fu == FuType::FpSpecial) {
+        ++tally.fp;
+        ++engineStats.fpOpsIssued;
+        if (observer.issueClasses)
+            observer.issueClasses->add(laneFp);
+    } else if (di->staticInfo->fu != FuType::None) {
+        ++engineStats.intOpsIssued;
+        if (observer.issueClasses)
+            observer.issueClasses->add(laneInt);
+    } else {
+        ++engineStats.otherOpsIssued;
+        if (observer.issueClasses)
+            observer.issueClasses->add(laneOther);
+    }
+}
+
+void
 RuntimeEngine::cycle()
 {
     if (!active)
         return;
 
-    // 1. Commit compute operations whose latency has elapsed.
-    for (std::size_t i = 0; i < computeQueue.size();) {
-        DynInst *op = computeQueue[i];
-        if (op->commitCycle <= cycleCount) {
-            commit(op);
-            computeQueue[i] = computeQueue.back();
-            computeQueue.pop_back();
-        } else {
-            ++i;
+    // Instances imported last cycle reach their fence in this one.
+    fenced.swap(fencedNow);
+
+    // 1. Commit compute operations whose latency has elapsed. The
+    //    walk runs only when a commit is due (a walk that removes
+    //    nothing leaves the queue order, and so the commit order,
+    //    unchanged) and recomputes the earliest due cycle.
+    if (cycleCount >= nextCommitDue) {
+        nextCommitDue = ~0ull;
+        for (std::size_t i = 0; i < computeQueue.size();) {
+            DynInst *op = computeQueue[i];
+            if (op->commitCycle <= cycleCount) {
+                --fuInflight[static_cast<std::size_t>(
+                    op->staticInfo->fu)];
+                commit(op);
+                computeQueue[i] = computeQueue.back();
+                computeQueue.pop_back();
+            } else {
+                nextCommitDue = std::min(nextCommitDue, op->commitCycle);
+                ++i;
+            }
         }
     }
 
@@ -777,9 +1042,8 @@ RuntimeEngine::cycle()
     //    scheduling a cross-block import additionally waits for the
     //    pipeline to drain (FSM state-transition semantics).
     if (pendingImport != nullptr) {
-        bool drained = reservationQueue.empty() &&
-            computeQueue.empty() && loadsInFlight == 0 &&
-            storesInFlight == 0;
+        bool drained = unissuedCount == 0 && computeQueue.empty() &&
+            loadsInFlight == 0 && storesInFlight == 0;
         if (!cfg.blockSequentialImport || drained ||
             pendingImportFrom == pendingImport) {
             importCtrlSeq = pendingImportCtrlSeq;
@@ -810,224 +1074,78 @@ RuntimeEngine::cycle()
         }
     }
 
-    // 3. Scan the reservation queue and issue everything that is
-    //    ready. The scan is in program order but issue is dataflow:
-    //    younger ready instructions are not blocked by older
-    //    unready ones (other than through the explicit dependency,
-    //    FU, and memory-ordering rules).
-    unsigned loads_issued = 0;
-    unsigned stores_issued = 0;
-    unsigned fp_issued = 0;
-    bool issued_any = false;
-    bool ready_load_blocked = false;
-    bool ready_store_blocked = false;
-    buildMemorySummary();
+    // 3. Issue sweep. Issue is dataflow: a younger ready instruction
+    //    is not blocked by an older unready one (other than through
+    //    the explicit dependency, FU and memory-ordering rules). The
+    //    ordering bounds are frozen first; everything resolved or
+    //    committed from here on is visible from the next cycle.
+    snapshotUnknowns();
+    inScan = true;
+    scanCursor = 0;
 
-    // Single-pass in-place compaction: entries that stay are slid
-    // to `write`, issued entries are dropped, and importBlock() may
-    // append during the walk (terminator evaluation) — appended
-    // entries are visited by the same scan (and kept: their
-    // minIssueCycle fence is next cycle). Visit order matches the
-    // old erase-in-place deque scan exactly, so timing is
-    // unchanged; rsvConsumed keeps the live count correct for the
-    // capacity check inside importBlock().
-    std::size_t write = 0;
-    rsvConsumed = 0;
-    for (std::size_t read = 0; read < reservationQueue.size();
-         ++read) {
-        DynInst *di = reservationQueue[read];
-        if (di->minIssueCycle > cycleCount) {
-            reservationQueue[write++] = di;
-            continue;
-        }
-        // Effective addresses resolve as soon as the pointer operand
-        // commits, even if the op cannot issue yet — younger memory
-        // ops use them for disambiguation.
+    //    a. Fence step: last cycle's imports may issue now; memory
+    //       ops with a ready pointer resolve their address.
+    for (DynInst *di : fencedNow) {
         if (di->isMemory())
             resolveAddress(di);
-        if (!operandsReady(*di)) {
-            reservationQueue[write++] = di;
-            continue;
-        }
+        if (di->pendingOperands == 0)
+            setCandidate(di);
+    }
+    fencedNow.clear();
 
-        Opcode op = di->inst->opcode();
-        if (op == Opcode::Br) {
-            const auto *br =
-                static_cast<const BranchInst *>(di->inst);
-            captureOperands(di);
-            const BasicBlock *target;
-            if (br->isConditional()) {
-                target = di->operandValues[0].asBool()
-                             ? br->ifTrue()
-                             : br->ifFalse();
-            } else {
-                target = br->ifTrue();
-            }
-            di->issued = true;
-            di->issueCycle = cycleCount;
-            commit(di);
-            if (capture != nullptr) {
-                capture->insts[di->seq].branchTarget =
-                    staticCdfg.blockInfo(target).id;
-            }
-            const BasicBlock *cur = di->inst->parent();
-            if (cfg.blockSequentialImport && target != cur &&
-                pendingImport == nullptr) {
-                // Defer the state transition until drain.
-                pendingImport = target;
-                pendingImportFrom = cur;
-                pendingImportCtrlSeq = di->seq;
-            } else {
-                importCtrlSeq = di->seq;
-                // The branch still occupies its queue slot during
-                // the import (it is dropped just below), matching
-                // the historical erase-after-import capacity
-                // accounting.
-                importBlock(target, cur);
-                importCtrlSeq = obs::noProfSeq;
-            }
-            ++rsvConsumed;
-            issued_any = true;
-            ++engineStats.otherOpsIssued;
-            if (observer.issueClasses)
-                observer.issueClasses->add(laneOther);
-            continue;
-        }
-        if (op == Opcode::Ret) {
-            captureOperands(di);
-            if (di->inst->numOperands() == 1)
-                di->result = di->operandValues[0];
-            di->issued = true;
-            di->issueCycle = cycleCount;
-            commit(di);
-            retSeen = true;
-            ++rsvConsumed;
-            issued_any = true;
-            ++engineStats.otherOpsIssued;
-            if (observer.issueClasses)
-                observer.issueClasses->add(laneOther);
-            continue;
-        }
-
-        if (di->isMemory()) {
-            if (!di->addrKnown) {
-                // Pointer producer pending: stays a data wait.
-                reservationQueue[write++] = di;
-                continue;
-            }
-            if (!memoryOrderingAllows(*di)) {
-                di->waitCause = obs::ProfCause::MemOrdering;
-                reservationQueue[write++] = di;
-                continue;
-            }
-            bool is_load = di->isLoad;
-            if (is_load &&
-                (loads_issued >= cfg.readPortsPerCycle ||
-                 loadsInFlight >= cfg.readQueueSize)) {
-                ready_load_blocked = true;
-                di->waitCause = obs::ProfCause::MemPort;
-                reservationQueue[write++] = di;
-                continue;
-            }
-            if (!is_load &&
-                (stores_issued >= cfg.writePortsPerCycle ||
-                 storesInFlight >= cfg.writeQueueSize)) {
-                ready_store_blocked = true;
-                di->waitCause = obs::ProfCause::MemPort;
-                reservationQueue[write++] = di;
-                continue;
-            }
-            captureOperands(di);
-            if (!client.engineIssueMemory(di)) {
-                // Interface refused; operands stay captured, retry
-                // next cycle (captureOperands is idempotent once
-                // producers are cleared).
-                di->waitCause = obs::ProfCause::MemPort;
-                reservationQueue[write++] = di;
-                continue;
-            }
-            di->issued = true;
-            di->issueCycle = cycleCount;
-            di->memInFlight = true;
-            // An issued (uncommitted) op still participates in the
-            // summary; address resolution of scanned ops may have
-            // added entries, so refresh lazily next cycle. Newly
-            // resolved addresses this cycle only *relax* ordering,
-            // so the stale summary is conservative, not wrong.
-            if (observer.sink)
-                di->issueTick = obsNow();
-            SALAM_TRACE_AT(Issue, obsNow(), observer.name,
-                           "issue %s seq=%llu addr=0x%llx size=%u",
-                           is_load ? "load" : "store",
-                           (unsigned long long)di->seq,
-                           (unsigned long long)di->memAddr,
-                           di->memSize);
-            if (is_load) {
-                ++loadsInFlight;
-                ++loads_issued;
-                ++engineStats.loadsIssued;
-                --pendingLoadOps;
-                if (observer.issueClasses)
-                    observer.issueClasses->add(laneLoad);
-            } else {
-                ++storesInFlight;
-                ++stores_issued;
-                ++engineStats.storesIssued;
-                --pendingStoreOps;
-                if (observer.issueClasses)
-                    observer.issueClasses->add(laneStore);
-            }
-            issued_any = true;
-            ++rsvConsumed;
-            continue;
-        }
-
-        // Compute ops (including phi and zero-latency wiring).
-        if (!fuAvailable(*di)) {
-            di->waitCause = obs::ProfCause::FuContention;
-            reservationQueue[write++] = di;
-            continue;
-        }
-        issueCompute(di);
-        issued_any = true;
-        ++rsvConsumed;
-        if (isFloatingPointOp(op) ||
-            di->staticInfo->fu == FuType::FpSpecial) {
-            ++fp_issued;
-            ++engineStats.fpOpsIssued;
-            if (observer.issueClasses)
-                observer.issueClasses->add(laneFp);
-        } else if (di->staticInfo->fu != FuType::None) {
-            ++engineStats.intOpsIssued;
-            if (observer.issueClasses)
-                observer.issueClasses->add(laneInt);
+    //    b. Resolutions that came due (pointer committed outside a
+    //       sweep, or behind the cursor of the last one).
+    for (std::size_t i = 0; i < resolveDue.size();) {
+        if (resolveDue[i].first <= cycleCount) {
+            DynInst *di = resolveDue[i].second;
+            resolveDue[i] = resolveDue.back();
+            resolveDue.pop_back();
+            resolveAddress(di);
         } else {
-            ++engineStats.otherOpsIssued;
-            if (observer.issueClasses)
-                observer.issueClasses->add(laneOther);
+            ++i;
         }
     }
-    reservationQueue.resize(write);
-    rsvConsumed = 0;
+
+    //    c. Visit the candidates in ascending seq — the reservation
+    //       queue's program order. A visit may wake younger entries
+    //       (a zero-latency or branch commit, a hand-off re-arm);
+    //       they are still ahead of the cursor and issue this cycle.
+    //       Blocks imported here fence to the next cycle.
+    IssueTally tally;
+    std::uint64_t next = windowFront;
+    while (next < nextSeq) {
+        std::uint64_t word = candidateWord(next) & (~0ull << (next & 63));
+        if (word == 0) {
+            next = (next | 63) + 1;
+            continue;
+        }
+        std::uint64_t seq =
+            (next & ~63ull) | static_cast<unsigned>(std::countr_zero(word));
+        scanCursor = seq;
+        visit(windowAt(seq), tally);
+        next = seq + 1;
+    }
+    inScan = false;
+    for (const auto &[op, committed] : summaryPending)
+        updateSummary(op, committed);
+    summaryPending.clear();
 
     SALAM_TRACE_AT(RuntimeEngine, obsNow(), observer.name,
                    "cyc %llu: issued=%d loads=%u stores=%u fp=%u "
                    "rq=%zu cq=%zu lif=%u sif=%u",
-                   (unsigned long long)cycleCount, (int)issued_any,
-                   loads_issued, stores_issued, fp_issued,
-                   reservationQueue.size(), computeQueue.size(),
-                   loadsInFlight, storesInFlight);
-    memStallLoadBlocked = ready_load_blocked;
-    memStallStoreBlocked = ready_store_blocked;
-    recordCycleStats(issued_any, loads_issued, stores_issued,
-                     fp_issued);
+                   (unsigned long long)cycleCount, (int)tally.any,
+                   tally.loads, tally.stores, tally.fp, unissuedCount,
+                   computeQueue.size(), loadsInFlight, storesInFlight);
+    memStallLoadBlocked = tally.loadBlocked;
+    memStallStoreBlocked = tally.storeBlocked;
+    recordCycleStats(tally);
     pruneWindow();
 
     // 4. Completion check: the kernel is done when ret has executed
     //    and every queue has drained.
-    if (retSeen && reservationQueue.empty() &&
-        computeQueue.empty() && loadsInFlight == 0 &&
-        storesInFlight == 0 && pendingImport == nullptr) {
+    if (retSeen && unissuedCount == 0 && computeQueue.empty() &&
+        loadsInFlight == 0 && storesInFlight == 0 &&
+        pendingImport == nullptr) {
         finish();
         return;
     }

@@ -13,13 +13,26 @@
  *    the communications interface and commit on response.
  *
  * Dynamic dependencies are generated as instructions enter the
- *  reservation queue: RAW edges to the most recent uncommitted
+ * reservation queue: RAW edges to the most recent uncommitted
  * producer of each operand, plus WAW/WAR constraints against the
  * previous dynamic instance of the same static instruction and its
  * readers. Basic-block terminators import the successor block
  * immediately after evaluation, which is what enables loop pipelining
  * and correct data-dependent control — the behaviours trace-based
  * models cannot capture.
+ *
+ * Issue is event-driven. Each instance counts its uncommitted
+ * operand producers; a commit counts down its readers and wakes the
+ * ones that reach zero. An instance whose operands are ready and
+ * whose import fence has passed is an issue candidate, kept in a
+ * window-relative bitmap, and each cycle sweeps only the candidates,
+ * in program order — the order the paper's in-order reservation-queue
+ * scan visits them. An instance held by the FU hand-off gate (its
+ * previous instance has not issued, or still has readers) leaves the
+ * candidate set and is re-armed when that instance issues or its last
+ * reader captures. Memory disambiguation reads a summary kept up to
+ * date as addresses resolve and memory ops commit; updates made
+ * during a cycle's sweep become visible at the next cycle.
  *
  * The engine is a plain clock-stepped class (no SimObject coupling)
  * so it can be unit-tested against a scripted memory interface; the
@@ -35,6 +48,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dyn_trace.hh"
@@ -65,6 +79,9 @@ struct DynInst
     /** Dynamic consumers that have not issued yet (WAR tracking). */
     unsigned unissuedReaders = 0;
 
+    /** Operand producers that have not committed (issue gate). */
+    unsigned pendingOperands = 0;
+
     /** Previous dynamic instance of the same static instruction. */
     DynInst *prevInstance = nullptr;
 
@@ -73,6 +90,12 @@ struct DynInst
 
     /** Producer instance for each operand (null when committed). */
     std::vector<DynInst *> producers;
+
+    /**
+     * Instances bound to this one as an operand producer, one entry
+     * per operand slot; woken and cleared at commit.
+     */
+    std::vector<DynInst *> readers;
 
     /** Captured operand values (filled at issue). */
     std::vector<ir::RuntimeValue> operandValues;
@@ -118,7 +141,8 @@ struct DynInst
 
     /**
      * Return to freshly-constructed state, keeping the capacity of
-     * the producer/operand vectors (freelist-arena recycling).
+     * the producer/reader/operand vectors (freelist-arena
+     * recycling).
      */
     void
     reset()
@@ -130,9 +154,11 @@ struct DynInst
         issued = false;
         committed = false;
         unissuedReaders = 0;
+        pendingOperands = 0;
         prevInstance = nullptr;
         nextInstance = nullptr;
         producers.clear();
+        readers.clear();
         operandValues.clear();
         result = ir::RuntimeValue{};
         commitCycle = 0;
@@ -212,6 +238,21 @@ struct EngineStats
                stallLoadCompute + stallStoreCompute +
                stallLoadStoreCompute;
     }
+};
+
+/**
+ * Host-side work of the issue scheduler over one run: how much the
+ * scheduler did, not what was simulated, so it is kept apart from
+ * EngineStats (which the trace replay reproduces field by field).
+ */
+struct SchedulerWork
+{
+    /** Issue candidates the per-cycle sweep visited. */
+    std::uint64_t visits = 0;
+    /** Instances that entered the issue-candidate set. */
+    std::uint64_t wakeups = 0;
+    /** Inserts into and removals from the disambiguation summary. */
+    std::uint64_t summaryUpdates = 0;
 };
 
 /**
@@ -304,6 +345,8 @@ class RuntimeEngine
 
     const EngineStats &stats() const { return engineStats; }
 
+    const SchedulerWork &schedulerWork() const { return work; }
+
     const DeviceConfig &config() const { return cfg; }
 
     const StaticCdfg &cdfg() const { return staticCdfg; }
@@ -383,20 +426,51 @@ class RuntimeEngine
     /** Return a retired DynInst to the arena freelist. */
     void releaseDynInst(DynInst *di) { freeList.push_back(di); }
 
-    /** Reservation-queue entries alive right now: during the issue
-     *  scan, consumed entries await compaction and must not count
-     *  against the queue capacity. */
-    std::size_t
-    reservationLive() const
+    /** Double the window ring (and its candidate bitmap). */
+    void growWindow();
+
+    DynInst *
+    windowAt(std::uint64_t seq) const
     {
-        return reservationQueue.size() - rsvConsumed;
+        return windowRing[seq & (windowRing.size() - 1)];
     }
 
-    bool operandsReady(const DynInst &di) const;
+    std::uint64_t &
+    candidateWord(std::uint64_t seq)
+    {
+        return candBits[(seq >> 6) & (candBits.size() - 1)];
+    }
+
+    /** Enter @p di into the issue-candidate set. */
+    void setCandidate(DynInst *di);
+
+    void
+    clearCandidate(const DynInst *di)
+    {
+        candidateWord(di->seq) &= ~(1ull << (di->seq & 63));
+    }
+
+    /**
+     * Make @p di a candidate if its operands are ready and its
+     * fence has passed (a later fence is handled at the fence).
+     */
+    void wake(DynInst *di);
+
+    /** Mark @p di issued this cycle and re-arm its successor. */
+    void markIssued(DynInst *di);
 
     /** Capture operand values (producers committed by now). */
     void captureOperands(DynInst *di);
 
+    /**
+     * FU hand-off gate: the previous instance of @p di's
+     * instruction has issued and every reader of its result has
+     * captured it. It opens only when that instance issues or its
+     * last reader captures, and both re-arm the waiting instance.
+     */
+    bool handOffOpen(const DynInst &di) const;
+
+    /** Initiation interval and pool checks for @p di's FU. */
     bool fuAvailable(const DynInst &di) const;
 
     void occupyFu(DynInst *di);
@@ -404,11 +478,34 @@ class RuntimeEngine
     /** Try to resolve a memory op's effective address. */
     void resolveAddress(DynInst *di);
 
-    /** Rebuild the per-cycle memory disambiguation summary. */
-    void buildMemorySummary();
+    /**
+     * @p di's pointer producer committed: resolve the address at
+     * the first sweep the reservation-queue scan would reach it in.
+     */
+    void noteAddressReady(DynInst *di);
+
+    /** Freeze the unresolved-address bounds for this cycle's sweep. */
+    void snapshotUnknowns();
+
+    /** Summary update for @p op (resolved, or committed). */
+    void updateSummary(const DynInst *op, bool committed);
 
     /** Memory ordering: may @p di access memory now? */
     bool memoryOrderingAllows(const DynInst &di) const;
+
+    /** Per-cycle issue results, shared by the sweep's visits. */
+    struct IssueTally
+    {
+        unsigned loads = 0;
+        unsigned stores = 0;
+        unsigned fp = 0;
+        bool any = false;
+        bool loadBlocked = false;
+        bool storeBlocked = false;
+    };
+
+    /** Try to issue candidate @p di this cycle. */
+    void visit(DynInst *di, IssueTally &tally);
 
     void issueCompute(DynInst *di);
 
@@ -420,9 +517,7 @@ class RuntimeEngine
     /** Drop fully retired instructions from the window front. */
     void pruneWindow();
 
-    void recordCycleStats(bool issued_any, unsigned loads_issued,
-                          unsigned stores_issued,
-                          unsigned fp_issued);
+    void recordCycleStats(const IssueTally &tally);
 
     void finish();
 
@@ -437,11 +532,21 @@ class RuntimeEngine
     std::uint64_t nextSeq = 0;
 
     /**
-     * The instruction window (reservation + in-flight), oldest
-     * first. Entries are arena-pooled: retirement returns them to
-     * the freelist instead of deallocating.
+     * The instruction window (reservation + in-flight + retired but
+     * still referenced): the contiguous seq range [windowFront,
+     * nextSeq), held in a power-of-two ring indexed by seq. Entries
+     * are arena-pooled: retirement returns them to the freelist
+     * instead of deallocating.
      */
-    std::deque<DynInst *> window;
+    std::vector<DynInst *> windowRing;
+    std::uint64_t windowFront = 0;
+
+    /**
+     * Issue candidates, one bit per window seq (same ring indexing
+     * as windowRing): unissued, fence passed, operands ready, and
+     * not held by the FU hand-off gate.
+     */
+    std::vector<std::uint64_t> candBits;
 
     /** Backing storage for every DynInst ever created (arena). */
     std::vector<std::unique_ptr<DynInst>> arena;
@@ -449,18 +554,31 @@ class RuntimeEngine
     /** Retired instances ready for reuse. */
     std::vector<DynInst *> freeList;
 
-    /**
-     * Unissued instructions, in program order. The per-cycle issue
-     * scan compacts in place: consumed entries are counted in
-     * rsvConsumed until the scan's single erase at the end.
-     */
-    std::vector<DynInst *> reservationQueue;
+    /** Unissued instructions in the window (reservation queue). */
+    std::size_t unissuedCount = 0;
 
-    /** Entries consumed so far by the in-progress issue scan. */
-    std::size_t rsvConsumed = 0;
+    /**
+     * Instances imported this cycle; their fence passes next cycle,
+     * when fencedNow holds them for the sweep's fence step.
+     */
+    std::vector<DynInst *> fenced;
+    std::vector<DynInst *> fencedNow;
+
+    /** Address resolutions due at a cycle's sweep: (cycle, op). */
+    std::vector<std::pair<std::uint64_t, DynInst *>> resolveDue;
+
+    /** True during the issue sweep; scanCursor is the visited seq. */
+    bool inScan = false;
+    std::uint64_t scanCursor = 0;
 
     /** Issued compute ops waiting to commit, ordered by cycle. */
     std::vector<DynInst *> computeQueue;
+
+    /** Earliest commitCycle in computeQueue (~0 when empty). */
+    std::uint64_t nextCommitDue = ~0ull;
+
+    /** computeQueue entries per FU type (occupancy statistics). */
+    std::array<std::uint64_t, hw::numFuTypes> fuInflight{};
 
     /** Memory ops in window, in program order (for ordering). */
     std::deque<DynInst *> memoryOrder;
@@ -473,16 +591,24 @@ class RuntimeEngine
         unsigned size;
     };
 
-    /** Per-cycle disambiguation summary over memoryOrder. */
-    struct MemorySummary
-    {
-        std::uint64_t unknownStoreSeq = ~0ull;
-        std::uint64_t unknownLoadSeq = ~0ull;
-        std::vector<MemRef> stores;
-        std::vector<MemRef> loads;
-    };
+    /**
+     * Disambiguation summary: uncommitted memory ops with a resolved
+     * address, ascending by memSeq. Resolutions and commits during
+     * a sweep queue in summaryPending and apply after it, so the
+     * ordering check sees the state as of the sweep's start.
+     */
+    std::vector<MemRef> knownStores;
+    std::vector<MemRef> knownLoads;
+    std::vector<std::pair<const DynInst *, bool>> summaryPending;
 
-    MemorySummary memSummary;
+    /**
+     * Oldest unresolved store/load (memSeq, ~0 when none) as of the
+     * sweep's start, and the monotone cursors that find them.
+     */
+    std::uint64_t snapUnknownStore = ~0ull;
+    std::uint64_t snapUnknownLoad = ~0ull;
+    std::uint64_t unknownStoreCursor = 0;
+    std::uint64_t unknownLoadCursor = 0;
     std::uint64_t nextMemSeq = 0;
 
     /**
@@ -522,16 +648,13 @@ class RuntimeEngine
     std::uint64_t importMemWaitCycles = 0;
     std::uint64_t importOtherWaitCycles = 0;
 
-
     unsigned loadsInFlight = 0;
     unsigned storesInFlight = 0;
-    /** Unissued memory ops in the reservation queue. */
-    unsigned pendingLoadOps = 0;
-    unsigned pendingStoreOps = 0;
     /** Ready-but-port-blocked memory ops seen this cycle. */
     bool memStallLoadBlocked = false;
     bool memStallStoreBlocked = false;
 
+    SchedulerWork work;
     EngineStats engineStats;
     EngineObserver observer;
 

@@ -206,6 +206,9 @@ simulate(const kernels::Kernel &kernel, const PointConfig &point,
     out.stats = cu.stats();
     if (tel != nullptr) {
         tel->noteArena(out.stats.arenaHits, out.stats.arenaMisses);
+        const core::SchedulerWork &work = cu.schedulerWork();
+        tel->noteScheduler(work.visits, work.wakeups,
+                           work.summaryUpdates);
         tel->samplePeakRss();
     }
     out.report = core::buildReport(cu, &tb.spm);

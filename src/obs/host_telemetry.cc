@@ -143,6 +143,9 @@ HostTelemetry::mergeFrom(const HostTelemetry &other)
     }
     arenaHitCount += other.arenaHitCount;
     arenaMissCount += other.arenaMissCount;
+    schedVisitCount += other.schedVisitCount;
+    schedWakeupCount += other.schedWakeupCount;
+    schedSummaryUpdateCount += other.schedSummaryUpdateCount;
     peakRssKbValue = std::max(peakRssKbValue, other.peakRssKbValue);
 }
 
@@ -169,6 +172,9 @@ writePhasesAndAlloc(JsonBuilder &json, const HostTelemetry &tel)
     json.beginObject("alloc")
         .field("arena_hits", tel.arenaHits())
         .field("arena_misses", tel.arenaMisses())
+        .field("sched_visits", tel.schedVisits())
+        .field("sched_wakeups", tel.schedWakeups())
+        .field("sched_summary_updates", tel.schedSummaryUpdates())
         .field("peak_rss_kb", tel.peakRssKb())
         .endObject();
 }

@@ -27,7 +27,9 @@
  *
  *  - Allocation-pressure counters: DynInst freelist-arena hits vs
  *    misses (merged from engine stats) and a peak-RSS sample, per
- *    point and aggregated per sweep.
+ *    point and aggregated per sweep, next to the issue scheduler's
+ *    work: candidates visited, wake-ups and disambiguation-summary
+ *    updates.
  *
  * Ownership rule: one HostTelemetry belongs to at most one SimContext
  * at a time, and is only mutated by the thread that context is bound
@@ -244,6 +246,16 @@ class HostTelemetry
         arenaMissCount += misses;
     }
 
+    /** Add one run's issue-scheduler work (RuntimeEngine). */
+    void
+    noteScheduler(std::uint64_t visits, std::uint64_t wakeups,
+                  std::uint64_t summary_updates)
+    {
+        schedVisitCount += visits;
+        schedWakeupCount += wakeups;
+        schedSummaryUpdateCount += summary_updates;
+    }
+
     /** Update the peak-RSS high-water mark from /proc. */
     void
     samplePeakRss()
@@ -258,6 +270,16 @@ class HostTelemetry
     std::uint64_t arenaMisses() const { return arenaMissCount; }
 
     std::uint64_t peakRssKb() const { return peakRssKbValue; }
+
+    std::uint64_t schedVisits() const { return schedVisitCount; }
+
+    std::uint64_t schedWakeups() const { return schedWakeupCount; }
+
+    std::uint64_t
+    schedSummaryUpdates() const
+    {
+        return schedSummaryUpdateCount;
+    }
 
     // --- sweep-point sim-trace capture ---
 
@@ -312,6 +334,9 @@ class HostTelemetry
     std::vector<Frame> stack;
     std::uint64_t arenaHitCount = 0;
     std::uint64_t arenaMissCount = 0;
+    std::uint64_t schedVisitCount = 0;
+    std::uint64_t schedWakeupCount = 0;
+    std::uint64_t schedSummaryUpdateCount = 0;
     std::uint64_t peakRssKbValue = 0;
     bool wantSimTrace = false;
     std::vector<TraceRecord> simTrace;

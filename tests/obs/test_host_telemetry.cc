@@ -163,10 +163,12 @@ TEST(HostTelemetry, MergeFoldsPhasesAndAllocationCounters)
     HostTelemetry a;
     a.addPhaseTime(HostPhase::EngineSchedule, 100, 2);
     a.noteArena(10, 1);
+    a.noteScheduler(100, 20, 3);
     HostTelemetry b;
     b.addPhaseTime(HostPhase::EngineSchedule, 50, 1);
     b.addPhaseTime(HostPhase::EventLoop, 25, 5);
     b.noteArena(4, 7);
+    b.noteScheduler(50, 10, 2);
 
     HostTelemetry merged;
     merged.mergeFrom(a);
@@ -177,6 +179,9 @@ TEST(HostTelemetry, MergeFoldsPhasesAndAllocationCounters)
     EXPECT_EQ(merged.phase(HostPhase::EventLoop).count, 5u);
     EXPECT_EQ(merged.arenaHits(), 14u);
     EXPECT_EQ(merged.arenaMisses(), 8u);
+    EXPECT_EQ(merged.schedVisits(), 150u);
+    EXPECT_EQ(merged.schedWakeups(), 30u);
+    EXPECT_EQ(merged.schedSummaryUpdates(), 5u);
 }
 
 TEST(HostTelemetry, JsonOutputParsesAndNamesEveryPhase)
@@ -184,6 +189,7 @@ TEST(HostTelemetry, JsonOutputParsesAndNamesEveryPhase)
     HostTelemetry tel;
     tel.addPhaseTime(HostPhase::MemoryModel, 2'000'000'000ull, 4);
     tel.noteArena(3, 2);
+    tel.noteScheduler(7, 5, 4);
     tel.samplePeakRss();
 
     std::ostringstream os;
@@ -205,6 +211,10 @@ TEST(HostTelemetry, JsonOutputParsesAndNamesEveryPhase)
     EXPECT_DOUBLE_EQ(doc.at("alloc").at("arena_hits").number, 3.0);
     EXPECT_DOUBLE_EQ(doc.at("alloc").at("arena_misses").number,
                      2.0);
+    EXPECT_DOUBLE_EQ(doc.at("alloc").at("sched_visits").number, 7.0);
+    EXPECT_DOUBLE_EQ(doc.at("alloc").at("sched_wakeups").number, 5.0);
+    EXPECT_DOUBLE_EQ(
+        doc.at("alloc").at("sched_summary_updates").number, 4.0);
 #if defined(__linux__)
     EXPECT_GT(doc.at("alloc").at("peak_rss_kb").number, 0.0);
 #endif
