@@ -422,9 +422,10 @@ RuntimeEngine::resolveAddress(DynInst *di)
 void
 RuntimeEngine::noteAddressReady(DynInst *di)
 {
-    // The reservation-queue scan resolves an address when it visits
-    // the op with its pointer committed and its fence passed. Before
-    // the fence, the fence step resolves it.
+    // An address resolves at the first sweep that reaches the op in
+    // program order with its pointer committed and its fence passed:
+    // this one if the op is still ahead of the cursor, else the
+    // next. Before the fence, the fence step resolves it.
     if (di->addrKnown || di->minIssueCycle > cycleCount)
         return;
     if (inScan && di->seq > scanCursor) {
@@ -1112,7 +1113,10 @@ RuntimeEngine::cycle()
     //       they are still ahead of the cursor and issue this cycle.
     //       Blocks imported here fence to the next cycle.
     IssueTally tally;
-    std::uint64_t next = windowFront;
+    firstUnissued = std::max(firstUnissued, windowFront);
+    while (firstUnissued < nextSeq && windowAt(firstUnissued)->issued)
+        ++firstUnissued;
+    std::uint64_t next = firstUnissued;
     while (next < nextSeq) {
         std::uint64_t word = candidateWord(next) & (~0ull << (next & 63));
         if (word == 0) {

@@ -480,7 +480,7 @@ class RuntimeEngine
 
     /**
      * @p di's pointer producer committed: resolve the address at
-     * the first sweep the reservation-queue scan would reach it in.
+     * the first sweep that reaches @p di in program order.
      */
     void noteAddressReady(DynInst *di);
 
@@ -540,6 +540,9 @@ class RuntimeEngine
      */
     std::vector<DynInst *> windowRing;
     std::uint64_t windowFront = 0;
+
+    /** Every seq below this one has issued (sweep lower bound). */
+    std::uint64_t firstUnissued = 0;
 
     /**
      * Issue candidates, one bit per window seq (same ring indexing

@@ -489,8 +489,8 @@ TraceReplayer::applyResolve(std::uint32_t seq)
     // available and the fence has passed; the *address* comes from
     // the trace (the value the capture run computed — identical by
     // value determinism). The ordering snapshot for this cycle was
-    // taken before resolutions apply, reproducing the engine's
-    // built-before-the-scan summary staleness.
+    // taken before resolutions apply, reproducing the engine's rule
+    // that a resolution made during a sweep is seen the next cycle.
     RNode &n = nodes[seq];
     if (n.addrKnown)
         return;
@@ -930,11 +930,12 @@ TraceReplayer::engineCycle(std::uint64_t cyc)
         }
     }
 
-    // 3. Ordering snapshot (the engine builds its memory summary
-    //    before the scan; resolutions applied below are therefore
-    //    invisible to this cycle's ordering gates). The deques are
-    //    in memory-program order, so the first still-unresolved
-    //    entry is the minimum the engine's summary would carry.
+    // 3. Ordering snapshot (the engine freezes its unresolved
+    //    bounds before the sweep; resolutions applied below are
+    //    therefore invisible to this cycle's ordering gates). The
+    //    deques are in memory-program order, so the first
+    //    still-unresolved entry is the minimum the engine's summary
+    //    would carry.
     if (snapDirty) {
         snapDirty = false;
         while (!unresolvedStores.empty() &&

@@ -19,11 +19,13 @@
  * pipeline, and produces bit-identical EngineStats (cycles, stall
  * attribution, issue mix, FU occupancy, dynamic energy).
  *
- * Unlike the engine, it does not rescan the whole reservation window
- * every cycle. The trace's scheduling skeleton — producer edges,
- * same-instruction chains, memory conflicts — is config-independent,
- * so it is prepared once per capture (ReplayPrep) and each replay
- * runs event-driven on top of it: commits decrement dependency and
+ * Both schedulers are event-driven, but they are written
+ * independently, so the replay stays a check on the engine. Where
+ * the engine discovers dependencies as it imports blocks, the replay
+ * reads them from the trace's scheduling skeleton — producer edges,
+ * same-instruction chains, memory conflicts — which is
+ * config-independent, so it is prepared once per capture (ReplayPrep)
+ * and each replay runs on top of it: commits decrement dependency and
  * conflict counters, instructions enter an issue-candidate bitmap
  * exactly when every engine gate that is not re-evaluated per cycle
  * has cleared, and the per-cycle work is proportional to the
@@ -347,7 +349,8 @@ class TraceReplayer
      * resolved, in import (= memSeq) order. The per-cycle snapshot
      * is the front's memSeq — resolutions apply mid-scan and so
      * become visible to the ordering gates one cycle later, exactly
-     * like the engine's rebuilt-next-cycle summary.
+     * like the engine's summary, whose in-sweep updates apply after
+     * the sweep.
      */
     std::deque<std::uint32_t> unresolvedStores;
     std::deque<std::uint32_t> unresolvedLoads;
