@@ -214,7 +214,7 @@ RuntimeEngine::importBlock(const BasicBlock *block,
                 if (latest != nullptr && !latest->committed) {
                     di->producers[slot] = latest;
                     ++latest->unissuedReaders;
-                    latest->readers.push_back(di);
+                    addReader(latest, di);
                     ++di->pendingOperands;
                     return;
                 }
@@ -266,6 +266,20 @@ RuntimeEngine::importBlock(const BasicBlock *block,
             memoryOrder.push_back(di);
         }
     }
+}
+
+void
+RuntimeEngine::addReader(DynInst *producer, DynInst *reader)
+{
+    std::uint32_t e = freeReaderEdge;
+    if (e == DynInst::noReader) {
+        e = static_cast<std::uint32_t>(readerEdges.size());
+        readerEdges.push_back({reader, producer->firstReader});
+    } else {
+        freeReaderEdge = readerEdges[e].next;
+        readerEdges[e] = {reader, producer->firstReader};
+    }
+    producer->firstReader = e;
 }
 
 void
@@ -583,7 +597,12 @@ RuntimeEngine::commit(DynInst *di)
         recordProfile(di);
 
     // Wake readers: each bound a RAW edge to this instance at import.
-    for (DynInst *reader : di->readers) {
+    for (std::uint32_t e = di->firstReader; e != DynInst::noReader;) {
+        DynInst *reader = readerEdges[e].reader;
+        std::uint32_t next = readerEdges[e].next;
+        readerEdges[e].next = freeReaderEdge;
+        freeReaderEdge = e;
+        e = next;
         SALAM_ASSERT(reader->pendingOperands > 0);
         --reader->pendingOperands;
         if (reader->isMemory() &&
@@ -592,7 +611,7 @@ RuntimeEngine::commit(DynInst *di)
         }
         wake(reader);
     }
-    di->readers.clear();
+    di->firstReader = DynInst::noReader;
     if (di->isMemory()) {
         if (inScan)
             summaryPending.emplace_back(di, true);

@@ -91,11 +91,15 @@ struct DynInst
     /** Producer instance for each operand (null when committed). */
     std::vector<DynInst *> producers;
 
+    /** End of a reader-edge list. */
+    static constexpr std::uint32_t noReader = ~0u;
+
     /**
-     * Instances bound to this one as an operand producer, one entry
-     * per operand slot; woken and cleared at commit.
+     * Head of the list of instances bound to this one as an operand
+     * producer, one edge per operand slot, in the engine's recycled
+     * edge pool; woken and released at commit.
      */
-    std::vector<DynInst *> readers;
+    std::uint32_t firstReader = noReader;
 
     /** Captured operand values (filled at issue). */
     std::vector<ir::RuntimeValue> operandValues;
@@ -141,8 +145,7 @@ struct DynInst
 
     /**
      * Return to freshly-constructed state, keeping the capacity of
-     * the producer/reader/operand vectors (freelist-arena
-     * recycling).
+     * the producer/operand vectors (freelist-arena recycling).
      */
     void
     reset()
@@ -158,7 +161,7 @@ struct DynInst
         prevInstance = nullptr;
         nextInstance = nullptr;
         producers.clear();
-        readers.clear();
+        firstReader = noReader;
         operandValues.clear();
         result = ir::RuntimeValue{};
         commitCycle = 0;
@@ -426,6 +429,9 @@ class RuntimeEngine
     /** Return a retired DynInst to the arena freelist. */
     void releaseDynInst(DynInst *di) { freeList.push_back(di); }
 
+    /** Link @p reader into @p producer's reader-edge list. */
+    void addReader(DynInst *producer, DynInst *reader);
+
     /** Double the window ring (and its candidate bitmap). */
     void growWindow();
 
@@ -556,6 +562,19 @@ class RuntimeEngine
 
     /** Retired instances ready for reuse. */
     std::vector<DynInst *> freeList;
+
+    /**
+     * Reader edges (DynInst::firstReader lists), recycled through
+     * freeReaderEdge, so the pool is sized by the live RAW edges of
+     * the window, not by the run.
+     */
+    struct ReaderEdge
+    {
+        DynInst *reader;
+        std::uint32_t next;
+    };
+    std::vector<ReaderEdge> readerEdges;
+    std::uint32_t freeReaderEdge = DynInst::noReader;
 
     /** Unissued instructions in the window (reservation queue). */
     std::size_t unissuedCount = 0;
