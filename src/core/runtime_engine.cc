@@ -16,8 +16,8 @@ using namespace salam::hw;
 namespace
 {
 
-/** Initial window ring capacity (a power of two, >= 128). */
-constexpr std::size_t initialWindowCapacity = 1024;
+/** Smallest window ring capacity (a power of two, >= 128). */
+constexpr std::size_t minWindowCapacity = 1024;
 
 /** Operand slot of a memory op's pointer. */
 std::size_t
@@ -58,8 +58,17 @@ RuntimeEngine::RuntimeEngine(const StaticCdfg &cdfg,
         if (limit > 0)
             poolFreeAt[t].assign(limit, 0);
     }
-    windowRing.assign(initialWindowCapacity, nullptr);
-    candBits.assign(initialWindowCapacity / 64, 0);
+    // Sized from the reservation queue up front, so the window ring,
+    // the reader-edge pool and the fence lists rarely reallocate
+    // mid-run.
+    const std::size_t window_cap = std::max<std::size_t>(
+        minWindowCapacity,
+        std::bit_ceil(2 * std::size_t{cfg.reservationQueueSize} + 64));
+    windowRing.assign(window_cap, nullptr);
+    candBits.assign(window_cap / 64, 0);
+    readerEdges.reserve(2 * std::size_t{cfg.reservationQueueSize});
+    fenced.reserve(cfg.reservationQueueSize);
+    fencedNow.reserve(cfg.reservationQueueSize);
     latestInstance.assign(staticCdfg.numInstructions(), nullptr);
     committedValues.assign(staticCdfg.numValueIds(), RuntimeValue{});
     committedKnown.assign(staticCdfg.numValueIds(), 0);
@@ -911,9 +920,9 @@ RuntimeEngine::visit(DynInst *di, IssueTally &tally)
             pendingImportCtrlSeq = di->seq;
         } else {
             importCtrlSeq = di->seq;
-            // The branch still occupies its queue slot during the
-            // import (it is released just below), matching the
-            // historical erase-after-import capacity accounting.
+            // The branch keeps its queue slot through the import
+            // (it is released just below), so the capacity check
+            // counts it.
             importBlock(target, cur);
             importCtrlSeq = obs::noProfSeq;
         }

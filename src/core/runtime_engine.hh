@@ -82,15 +82,6 @@ struct DynInst
     /** Operand producers that have not committed (issue gate). */
     unsigned pendingOperands = 0;
 
-    /** Previous dynamic instance of the same static instruction. */
-    DynInst *prevInstance = nullptr;
-
-    /** Next dynamic instance (for safe window retirement). */
-    DynInst *nextInstance = nullptr;
-
-    /** Producer instance for each operand (null when committed). */
-    std::vector<DynInst *> producers;
-
     /** End of a reader-edge list. */
     static constexpr std::uint32_t noReader = ~0u;
 
@@ -100,6 +91,15 @@ struct DynInst
      * edge pool; woken and released at commit.
      */
     std::uint32_t firstReader = noReader;
+
+    /** Previous dynamic instance of the same static instruction. */
+    DynInst *prevInstance = nullptr;
+
+    /** Next dynamic instance (for safe window retirement). */
+    DynInst *nextInstance = nullptr;
+
+    /** Producer instance for each operand (null when committed). */
+    std::vector<DynInst *> producers;
 
     /** Captured operand values (filled at issue). */
     std::vector<ir::RuntimeValue> operandValues;
