@@ -26,6 +26,12 @@ CommInterface::CommInterface(Simulation &sim, std::string name,
     }
 }
 
+CommInterface::~CommInterface()
+{
+    for (PacketPtr pkt : freePackets)
+        delete pkt;
+}
+
 void
 CommInterface::init()
 {
@@ -68,28 +74,39 @@ CommInterface::portFor(std::uint64_t addr, unsigned size) const
     return -1;
 }
 
-bool
-CommInterface::issueMemory(DynInst *op)
+PacketPtr
+CommInterface::acquirePacket(MemCmd cmd, std::uint64_t addr,
+                             unsigned size)
 {
-    int port = portFor(op->memAddr, op->memSize);
+    if (freePackets.empty())
+        return new Packet(cmd, addr, size);
+    PacketPtr pkt = freePackets.back();
+    freePackets.pop_back();
+    pkt->reset(cmd, addr, size);
+    return pkt;
+}
+
+bool
+CommInterface::issueMemory(const MemAccess &access)
+{
+    int port = portFor(access.addr, access.size);
     if (port < 0)
         fatal("%s: no data port serves address 0x%llx",
               name().c_str(),
-              static_cast<unsigned long long>(op->memAddr));
+              static_cast<unsigned long long>(access.addr));
 
     PacketPtr pkt;
-    if (op->isLoad) {
-        pkt = new Packet(MemCmd::ReadReq, op->memAddr, op->memSize);
+    if (access.isLoad) {
+        pkt = acquirePacket(MemCmd::ReadReq, access.addr, access.size);
     } else {
-        pkt = new Packet(MemCmd::WriteReq, op->memAddr, op->memSize);
-        // Store data is operand 0 of the store instruction.
-        pkt->setData(&op->operandValues[0].bits, op->memSize);
+        pkt = acquirePacket(MemCmd::WriteReq, access.addr, access.size);
+        pkt->setData(access.storeData(), access.size);
     }
-    pkt->context = op;
+    pkt->context = access.op;
     ++dataRequestsIssued;
     SALAM_TRACE(Comm, "%s port %d addr=0x%llx size=%u",
-                op->isLoad ? "load" : "store", port,
-                (unsigned long long)op->memAddr, op->memSize);
+                access.isLoad ? "load" : "store", port,
+                (unsigned long long)access.addr, access.size);
     if (!dataPorts[static_cast<unsigned>(port)]->sendTimingReq(pkt)) {
         ++dataRequestsBlocked;
         pkt->serviceFlags |= svcQueued;
@@ -115,12 +132,11 @@ CommInterface::handleDataResponse(PacketPtr pkt)
 {
     auto *op = static_cast<DynInst *>(pkt->context);
     SALAM_ASSERT(op != nullptr);
-    // Surface the memory system's service annotations to the engine
-    // before the commit they will be attributed at.
-    op->memServiceFlags = pkt->serviceFlags;
+    // The memory system's service annotations travel with the data
+    // to the commit they will be attributed at.
     if (onResponse)
-        onResponse(op, pkt->data(), pkt->size());
-    delete pkt;
+        onResponse(op, pkt->data(), pkt->size(), pkt->serviceFlags);
+    freePackets.push_back(pkt);
     return true;
 }
 

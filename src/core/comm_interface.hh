@@ -65,6 +65,8 @@ class CommInterface : public ClockedObject
                   Tick clock_period,
                   const CommInterfaceConfig &config);
 
+    ~CommInterface() override;
+
     /** Registers MMR/data-traffic statistics with the simulation. */
     void init() override;
 
@@ -79,18 +81,23 @@ class CommInterface : public ClockedObject
     // -- Engine-facing API ------------------------------------------
 
     /**
-     * Issue the memory operation @p op. Routes by address to the
+     * Issue the memory access @p access. Routes by address to the
      * matching data port. Returns false when no port serves the
      * address range (a configuration error surfaces as fatal) —
      * otherwise the request is accepted.
      */
-    bool issueMemory(DynInst *op);
+    bool issueMemory(const MemAccess &access);
 
-    /** Handler invoked when a data response arrives. */
+    /**
+     * Handler invoked when a data response arrives: the issuing
+     * instance, the payload, its size and the response's
+     * mem::ServiceFlags.
+     */
+    using ResponseHandler = std::function<void(
+        DynInst *, const std::uint8_t *, unsigned, unsigned)>;
+
     void
-    setResponseHandler(
-        std::function<void(DynInst *, const std::uint8_t *,
-                           unsigned)> handler)
+    setResponseHandler(ResponseHandler handler)
     {
         onResponse = std::move(handler);
     }
@@ -192,18 +199,23 @@ class CommInterface : public ClockedObject
     /** Data port index serving @p addr, or -1. */
     int portFor(std::uint64_t addr, unsigned size) const;
 
+    /** A data request packet, recycled from freePackets if any. */
+    mem::PacketPtr acquirePacket(mem::MemCmd cmd, std::uint64_t addr,
+                                 unsigned size);
+
     CommInterfaceConfig cfg;
     PioPort pioPort;
     std::vector<std::unique_ptr<DataPort>> dataPorts;
     std::vector<std::uint64_t> regs;
     std::deque<PendingMmr> mmrResponses;
     std::deque<std::pair<mem::PacketPtr, unsigned>> blockedRequests;
+    /** Data packets whose response was consumed, ready for reuse. */
+    std::vector<mem::PacketPtr> freePackets;
     EventFunctionWrapper mmrEvent;
 
     std::function<void()> onStart;
     std::function<void()> irq;
-    std::function<void(DynInst *, const std::uint8_t *, unsigned)>
-        onResponse;
+    ResponseHandler onResponse;
 
     std::uint64_t mmrReadCount = 0;
     std::uint64_t mmrWriteCount = 0;

@@ -46,8 +46,9 @@ ComputeUnit::ComputeUnit(Simulation &sim, std::string name,
                 Event::cpuTickPri, obs::HostPhase::EngineSchedule)
 {
     comm.setResponseHandler(
-        [this](DynInst *op, const std::uint8_t *data, unsigned size) {
-            engine.memoryResponse(op, data, size);
+        [this](DynInst *op, const std::uint8_t *data, unsigned size,
+               unsigned service_flags) {
+            engine.memoryResponse(op, data, size, service_flags);
         });
     comm.setStartHandler([this] { startFromMmrs(); });
 }

@@ -93,8 +93,8 @@ class ComputeUnit : public ClockedObject, private EngineClient
     void requestTick();
 
     // EngineClient: the engine's upcalls into its owner.
-    bool engineIssueMemory(DynInst *op) override
-    { return comm.issueMemory(op); }
+    bool engineIssueMemory(const MemAccess &access) override
+    { return comm.issueMemory(access); }
 
     void engineRequestTick() override { requestTick(); }
 

@@ -16,15 +16,8 @@ using namespace salam::hw;
 namespace
 {
 
-/** Smallest window ring capacity (a power of two, >= 128). */
+/** Smallest window capacity (a power of two, >= 128). */
 constexpr std::size_t minWindowCapacity = 1024;
-
-/** Operand slot of a memory op's pointer. */
-std::size_t
-pointerSlot(const DynInst &di)
-{
-    return di.isLoad ? 0 : 1;
-}
 
 } // namespace
 
@@ -48,30 +41,118 @@ RuntimeEngine::issueLaneNames()
     return names;
 }
 
+std::size_t
+RuntimeEngine::initialWindowCapacity(const DeviceConfig &config)
+{
+    return std::max<std::size_t>(
+        minWindowCapacity,
+        std::bit_ceil(2 * std::size_t{config.reservationQueueSize} + 64));
+}
+
+RuntimeEngine::Slab::Slab(std::size_t capacity)
+    : table(capacity / chunkSize, nullptr)
+{
+}
+
+DynInst &
+RuntimeEngine::Slab::claim(std::uint64_t seq, std::uint64_t front)
+{
+    if ((seq & (chunkSize - 1)) == 0) {
+        // Entering a new chunk: the window spans chunks [first, last].
+        const std::uint64_t first = front >> chunkBits;
+        const std::uint64_t last = seq >> chunkBits;
+        if (last - first + 1 > table.size()) {
+            std::size_t cap = table.size();
+            while (last - first + 1 > cap)
+                cap *= 2;
+            std::vector<Chunk *> grown(cap, nullptr);
+            for (std::uint64_t c = first; c < last; ++c)
+                grown[c & (cap - 1)] = table[c & (table.size() - 1)];
+            table.swap(grown);
+        }
+        Chunk *chunk;
+        if (spare.empty()) {
+            chunks.push_back(std::make_unique<Chunk>());
+            chunk = chunks.back().get();
+        } else {
+            chunk = spare.back();
+            spare.pop_back();
+        }
+        table[last & (table.size() - 1)] = chunk;
+    }
+    return at(seq);
+}
+
+void
+RuntimeEngine::Slab::retire(std::uint64_t old_front,
+                            std::uint64_t new_front)
+{
+    // Chunks wholly behind the new front hold only retired records.
+    for (std::uint64_t c = old_front >> chunkBits;
+         c < (new_front >> chunkBits); ++c) {
+        spare.push_back(table[c & (table.size() - 1)]);
+    }
+}
+
 RuntimeEngine::RuntimeEngine(const StaticCdfg &cdfg,
                              const DeviceConfig &config,
                              EngineClient &client)
-    : staticCdfg(cdfg), cfg(config), client(client)
+    : staticCdfg(cdfg), cfg(config), client(client),
+      infos(cdfg.numInstructions() > 0 ? &cdfg.infoById(0) : nullptr),
+      slab(initialWindowCapacity(config))
 {
     for (std::size_t t = 0; t < numFuTypes; ++t) {
         unsigned limit = cfg.fuLimits[t];
         if (limit > 0)
             poolFreeAt[t].assign(limit, 0);
     }
-    // Sized from the reservation queue up front, so the window ring,
-    // the reader-edge pool and the fence lists rarely reallocate
-    // mid-run.
-    const std::size_t window_cap = std::max<std::size_t>(
-        minWindowCapacity,
-        std::bit_ceil(2 * std::size_t{cfg.reservationQueueSize} + 64));
-    windowRing.assign(window_cap, nullptr);
-    candBits.assign(window_cap / 64, 0);
+    // Sized from the reservation queue up front, so the candidate
+    // bitmap, the operand and memory-order rings, the reader-edge
+    // pool and the fence lists rarely grow mid-run.
+    const std::size_t window_cap = initialWindowCapacity(cfg);
+    candBits.assign(std::max<std::size_t>(64, window_cap / 64), 0);
+    candSummary.assign(candBits.size() / 64, 0);
+    slotProducers.assign(2 * window_cap, nullptr);
+    slotValues.assign(2 * window_cap, RuntimeValue{});
+    memRing.assign(window_cap, MemOp{});
     readerEdges.reserve(2 * std::size_t{cfg.reservationQueueSize});
     fenced.reserve(cfg.reservationQueueSize);
     fencedNow.reserve(cfg.reservationQueueSize);
     latestInstance.assign(staticCdfg.numInstructions(), nullptr);
     committedValues.assign(staticCdfg.numValueIds(), RuntimeValue{});
     committedKnown.assign(staticCdfg.numValueIds(), 0);
+}
+
+RuntimeEngine::DynProfile
+RuntimeEngine::freshProfile(std::uint64_t min_issue_cycle,
+                            std::uint64_t ctrl_parent,
+                            obs::ProfCause ctrl_cause)
+{
+    return DynProfile{.minIssueCycle = min_issue_cycle,
+                      .commitCycle = 0,
+                      .issueTick = 0,
+                      .prodReadyCycle = 0,
+                      .prodParentSeq = obs::noProfSeq,
+                      .ctrlParentSeq = ctrl_parent,
+                      .ctrlLinkCause = ctrl_cause,
+                      .waitCause = obs::ProfCause::DataDep};
+}
+
+void
+RuntimeEngine::setObserver(EngineObserver obs)
+{
+    const bool attach_profiler =
+        obs.profiler != nullptr && observer.profiler == nullptr;
+    observer = std::move(obs);
+    // Profiling records are written from import on; give instances
+    // already in the window (the entry block, when the owner wires
+    // the observer between start() and the first cycle) theirs.
+    if (attach_profiler) {
+        for (std::uint64_t s = windowFront; s < nextSeq; ++s) {
+            slab.profileAt(s) = freshProfile(
+                cycleCount, obs::noProfSeq, obs::ProfCause::Control);
+        }
+    }
 }
 
 void
@@ -92,49 +173,50 @@ RuntimeEngine::start(const std::vector<RuntimeValue> &args)
     completed = false;
     retSeen = false;
     cycleCount = 0;
-    importBlock(fn.entry(), nullptr);
+    importBlock(staticCdfg.blockInfo(fn.entry()).id, noBlock);
     // The entry block may issue in cycle 0.
-    for (std::uint64_t s = windowFront; s < nextSeq; ++s)
-        windowAt(s)->minIssueCycle = 0;
-    client.engineRequestTick();
-}
-
-DynInst *
-RuntimeEngine::acquireDynInst()
-{
-    if (freeList.empty()) {
-        ++engineStats.arenaMisses;
-        arena.push_back(std::make_unique<DynInst>());
-        return arena.back().get();
+    if (observer.profiler != nullptr) {
+        for (std::uint64_t s = windowFront; s < nextSeq; ++s)
+            slab.profileAt(s).minIssueCycle = 0;
     }
-    ++engineStats.arenaHits;
-    DynInst *di = freeList.back();
-    freeList.pop_back();
-    di->reset();
-    return di;
+    client.engineRequestTick();
 }
 
 DynInst *
 RuntimeEngine::createDynInst(const StaticInstInfo &info)
 {
-    const Instruction *inst = info.inst;
-    DynInst *di = acquireDynInst();
-    di->inst = inst;
-    di->staticInfo = &info;
-    di->seq = nextSeq;
+    // A record is new only while the window is at its high-water
+    // mark; otherwise a retired one is reused (EngineStats::
+    // arenaHits).
+    if (nextSeq - windowFront == windowHighWater) {
+        ++engineStats.arenaMisses;
+        ++windowHighWater;
+    } else {
+        ++engineStats.arenaHits;
+    }
     // Keep a word of slack so the sweep's word walk never wraps
     // onto the window's own front.
-    if (nextSeq + 1 - windowFront + 64 > windowRing.size())
-        growWindow();
-    windowRing[nextSeq & (windowRing.size() - 1)] = di;
+    if (nextSeq + 1 - windowFront + 64 > candBits.size() * 64)
+        growCandidates();
+
+    const std::uint64_t base = allocSlots(info.numSlots);
+    for (unsigned i = 0; i < info.numSlots; ++i) {
+        const std::size_t idx = (base + i) & (slotValues.size() - 1);
+        slotProducers[idx] = nullptr;
+        slotValues[idx] = RuntimeValue{};
+    }
+
+    DynInst *di = &slab.claim(nextSeq, windowFront);
+    *di = DynInst{};
+    di->seq = nextSeq;
+    di->operandBase = static_cast<std::uint32_t>(base);
+    di->staticId = info.id;
+    di->kind = info.kind;
+    if (observer.profiler != nullptr) {
+        slab.profileAt(nextSeq) =
+            freshProfile(cycleCount + 1, importCtrlSeq, importCtrlCause);
+    }
     ++nextSeq;
-    di->minIssueCycle = cycleCount + 1;
-    di->ctrlParentSeq = importCtrlSeq;
-    di->ctrlLinkCause = importCtrlCause;
-    di->isLoad = inst->opcode() == Opcode::Load;
-    di->isStore = inst->opcode() == Opcode::Store;
-    di->producers.assign(inst->numOperands(), nullptr);
-    di->operandValues.assign(inst->numOperands(), RuntimeValue{});
 
     // WAW/WAR chain against the previous dynamic instance.
     DynInst *&latest = latestInstance[info.id];
@@ -151,84 +233,122 @@ RuntimeEngine::createDynInst(const StaticInstInfo &info)
     return di;
 }
 
-void
-RuntimeEngine::growWindow()
+std::uint64_t
+RuntimeEngine::allocSlots(unsigned n)
 {
-    const std::size_t cap = windowRing.size() * 2;
-    std::vector<DynInst *> ring(cap, nullptr);
-    std::vector<std::uint64_t> bits(cap / 64, 0);
-    for (std::uint64_t s = windowFront; s < nextSeq; ++s) {
-        ring[s & (cap - 1)] = windowAt(s);
-        std::uint64_t bit = 1ull << (s & 63);
-        if (candidateWord(s) & bit)
-            bits[(s >> 6) & (cap / 64 - 1)] |= bit;
+    for (;;) {
+        const std::size_t cap = slotValues.size();
+        std::uint64_t pos = slotHead;
+        const std::size_t offset = pos & (cap - 1);
+        if (offset + n > cap)
+            pos += cap - offset; // keep the instance's slots contiguous
+        if (pos + n - slotFront <= cap) {
+            slotHead = pos + n;
+            return pos;
+        }
+        growSlots();
     }
-    windowRing.swap(ring);
-    candBits.swap(bits);
 }
 
 void
-RuntimeEngine::importBlock(const BasicBlock *block,
-                           const BasicBlock *from)
+RuntimeEngine::growSlots()
 {
-    const StaticBlockInfo &binfo = staticCdfg.blockInfo(block);
+    // Live positions keep their ring index modulo the new size, and
+    // an instance that did not wrap the old ring cannot wrap the
+    // doubled one.
+    const std::size_t cap = slotValues.size() * 2;
+    std::vector<DynInst *> producers(cap, nullptr);
+    std::vector<RuntimeValue> values(cap, RuntimeValue{});
+    for (std::uint64_t p = slotFront; p < slotHead; ++p) {
+        producers[p & (cap - 1)] =
+            slotProducers[p & (slotProducers.size() - 1)];
+        values[p & (cap - 1)] = slotValues[p & (slotValues.size() - 1)];
+    }
+    slotProducers.swap(producers);
+    slotValues.swap(values);
+}
+
+void
+RuntimeEngine::growMemRing()
+{
+    const std::size_t cap = memRing.size() * 2;
+    std::vector<MemOp> ring(cap, MemOp{});
+    for (std::uint64_t m = memFront; m < nextMemSeq; ++m)
+        ring[m & (cap - 1)] = memRing[m & (memRing.size() - 1)];
+    memRing.swap(ring);
+}
+
+void
+RuntimeEngine::growCandidates()
+{
+    const std::size_t words = candBits.size() * 2;
+    std::vector<std::uint64_t> bits(words, 0);
+    for (std::uint64_t s = windowFront; s < nextSeq; ++s) {
+        std::uint64_t bit = 1ull << (s & 63);
+        if (candidateWord(s) & bit)
+            bits[(s >> 6) & (words - 1)] |= bit;
+    }
+    candBits.swap(bits);
+    candSummary.assign(words / 64, 0);
+    for (std::size_t w = 0; w < words; ++w) {
+        if (candBits[w] != 0)
+            candSummary[w >> 6] |= 1ull << (w & 63);
+    }
+}
+
+void
+RuntimeEngine::importBlock(std::uint32_t block_id, std::uint32_t from)
+{
+    const StaticBlockInfo &binfo = staticCdfg.blockInfoById(block_id);
     if (binfo.numInsts > cfg.reservationQueueSize)
         fatal("engine: block '%s' (%zu instructions) exceeds the "
               "reservation queue (%u); raise "
               "DeviceConfig::reservationQueueSize",
-              block->name().c_str(), block->size(),
+              binfo.block->name().c_str(), binfo.block->size(),
               cfg.reservationQueueSize);
     if (unissuedCount + binfo.numInsts > cfg.reservationQueueSize) {
-        pendingImport = block;
+        pendingImport = block_id;
         pendingImportFrom = from;
         pendingImportCtrlSeq = importCtrlSeq;
         return;
     }
-    pendingImport = nullptr;
+    pendingImport = noBlock;
     SALAM_TRACE_AT(RuntimeEngine, obsNow(), observer.name,
-                   "import block '%s' (%zu instructions)",
-                   block->name().c_str(), block->size());
+                   "import block '%s' (%u instructions)",
+                   binfo.block->name().c_str(), binfo.numInsts);
     if (observer.sink) {
         observer.sink->recordInstant(obsNow(), observer.name,
                                      "engine",
-                                     "import " + block->name());
-    }
-
-    unsigned from_id = 0;
-    bool have_from = false;
-    if (from != nullptr) {
-        from_id = staticCdfg.blockInfo(from).id;
-        have_from = true;
+                                     "import " + binfo.block->name());
     }
 
     for (unsigned i = 0; i < binfo.numInsts; ++i) {
-        const StaticInstInfo &sinfo =
-            staticCdfg.infoById(binfo.firstInstId + i);
+        const StaticInstInfo &sinfo = infos[binfo.firstInstId + i];
         DynInst *di = createDynInst(sinfo);
 
         // Bind operands from the elaboration-time plans. A Producer
         // plan checks the live-instance table first (RAW edge or
         // in-window result), then falls back to the committed-value
         // slot; Committed plans go straight there.
-        auto bind_plan = [&](std::size_t slot,
-                             const OperandPlan &plan) {
+        auto bind_plan = [&](unsigned slot, const OperandPlan &plan) {
+            const std::size_t idx = slotIndex(*di, slot);
             switch (plan.kind) {
               case OperandPlan::Kind::Constant:
-                di->operandValues[slot] = plan.constant;
+                slotValues[idx] = plan.constant;
                 return;
               case OperandPlan::Kind::Control:
                 return; // control references carry no data
               case OperandPlan::Kind::Producer: {
                 DynInst *latest = latestInstance[plan.producerId];
-                if (latest != nullptr && !latest->committed) {
-                    di->producers[slot] = latest;
+                if (latest != nullptr && !latest->committed()) {
+                    slotProducers[idx] = latest;
                     ++latest->unissuedReaders;
                     addReader(latest, di);
                     ++di->pendingOperands;
                     return;
                 }
                 if (latest != nullptr) {
-                    di->operandValues[slot] = latest->result;
+                    slotValues[idx] = latest->result;
                     return;
                 }
                 break;
@@ -240,17 +360,18 @@ RuntimeEngine::importBlock(const BasicBlock *block,
                 panic("engine: operand %%%s of %%%s has no value",
                       sinfo.isPhi
                           ? "phi-incoming"
-                          : di->inst->operand(slot)->name().c_str(),
-                      di->inst->name().c_str());
+                          : sinfo.inst->operand(slot)->name().c_str(),
+                      sinfo.inst->name().c_str());
             }
-            di->operandValues[slot] = committedValues[plan.valueId];
+            slotValues[idx] = committedValues[plan.valueId];
         };
 
         if (sinfo.isPhi) {
+            // One live operand slot: the edge taken.
             const OperandPlan *plan = nullptr;
-            if (have_from) {
+            if (from != noBlock) {
                 for (const auto &[pred_id, p] : sinfo.phiIncoming) {
-                    if (pred_id == from_id) {
+                    if (pred_id == from) {
                         plan = &p;
                         break;
                     }
@@ -258,21 +379,22 @@ RuntimeEngine::importBlock(const BasicBlock *block,
             }
             if (plan == nullptr)
                 panic("phi %%%s has no incoming for edge",
-                      di->inst->name().c_str());
-            // Keep exactly one live operand slot for the edge taken.
-            di->producers.assign(1, nullptr);
-            di->operandValues.assign(1, RuntimeValue{});
+                      sinfo.inst->name().c_str());
             bind_plan(0, *plan);
         } else {
-            for (std::size_t o = 0; o < sinfo.operands.size(); ++o)
+            for (unsigned o = 0; o < sinfo.numSlots; ++o)
                 bind_plan(o, sinfo.operands[o]);
         }
 
         ++unissuedCount;
         fenced.push_back(di);
         if (di->isMemory()) {
-            di->memSeq = nextMemSeq++;
-            memoryOrder.push_back(di);
+            if (nextMemSeq - memFront == memRing.size())
+                growMemRing();
+            memRing[nextMemSeq & (memRing.size() - 1)] =
+                MemOp{di, 0, 0};
+            di->memSlot = static_cast<std::uint32_t>(nextMemSeq);
+            ++nextMemSeq;
         }
     }
 }
@@ -294,19 +416,53 @@ RuntimeEngine::addReader(DynInst *producer, DynInst *reader)
 void
 RuntimeEngine::setCandidate(DynInst *di)
 {
-    std::uint64_t bit = 1ull << (di->seq & 63);
-    std::uint64_t &word = candidateWord(di->seq);
-    if ((word & bit) == 0) {
-        word |= bit;
+    const std::uint64_t bit = 1ull << (di->seq & 63);
+    const std::size_t w = (di->seq >> 6) & (candBits.size() - 1);
+    if ((candBits[w] & bit) == 0) {
+        candBits[w] |= bit;
+        candSummary[w >> 6] |= 1ull << (w & 63);
         ++work.wakeups;
     }
 }
 
 void
+RuntimeEngine::clearCandidate(const DynInst *di)
+{
+    const std::size_t w = (di->seq >> 6) & (candBits.size() - 1);
+    candBits[w] &= ~(1ull << (di->seq & 63));
+    if (candBits[w] == 0)
+        candSummary[w >> 6] &= ~(1ull << (w & 63));
+}
+
+std::uint64_t
+RuntimeEngine::nextCandidateWord(std::uint64_t seq,
+                                 std::uint64_t end) const
+{
+    SALAM_ASSERT((seq & 63) == 0);
+    // Walk the summary in ring order; a summary word covers 64
+    // candidate words, and the ring holds a whole number of them.
+    const std::size_t mask = candBits.size() - 1;
+    while (seq < end) {
+        const std::size_t w = (seq >> 6) & mask;
+        const std::uint64_t live =
+            candSummary[w >> 6] & (~0ull << (w & 63));
+        if (live != 0) {
+            const std::size_t hit =
+                (w & ~std::size_t{63}) |
+                static_cast<std::size_t>(std::countr_zero(live));
+            return std::min<std::uint64_t>(end, seq + ((hit - w) << 6));
+        }
+        seq += (64 - (w & 63)) << 6;
+    }
+    return end;
+}
+
+void
 RuntimeEngine::wake(DynInst *di)
 {
-    if (!di->issued && di->pendingOperands == 0 &&
-        di->minIssueCycle <= cycleCount) {
+    if ((di->flags & (DynInst::Issued | DynInst::FenceOpen)) ==
+            DynInst::FenceOpen &&
+        di->pendingOperands == 0) {
         setCandidate(di);
     }
 }
@@ -314,7 +470,7 @@ RuntimeEngine::wake(DynInst *di)
 void
 RuntimeEngine::markIssued(DynInst *di)
 {
-    di->issued = true;
+    di->set(DynInst::Issued);
     di->issueCycle = cycleCount;
     clearCandidate(di);
     // Issuing may open the successor instance's hand-off gate.
@@ -323,30 +479,35 @@ RuntimeEngine::markIssued(DynInst *di)
 }
 
 void
-RuntimeEngine::captureOperands(DynInst *di)
+RuntimeEngine::captureOperands(DynInst *di, const StaticInstInfo &si)
 {
-    for (std::size_t i = 0; i < di->producers.size(); ++i) {
-        DynInst *producer = di->producers[i];
-        if (producer != nullptr) {
-            SALAM_ASSERT(producer->committed);
-            di->operandValues[i] = producer->result;
-            SALAM_ASSERT(producer->unissuedReaders > 0);
-            // Draining the producer's output register may open its
-            // successor instance's hand-off gate.
-            if (--producer->unissuedReaders == 0 &&
-                producer->nextInstance != nullptr) {
-                wake(producer->nextInstance);
-            }
-            di->producers[i] = nullptr;
-            // Remember the latest-committing producer: it is the
-            // critical data predecessor in the recorded CDFG.
-            if (observer.profiler != nullptr &&
-                (di->prodParentSeq == obs::noProfSeq ||
-                 producer->commitCycle > di->prodReadyCycle ||
-                 (producer->commitCycle == di->prodReadyCycle &&
-                  producer->seq > di->prodParentSeq))) {
-                di->prodReadyCycle = producer->commitCycle;
-                di->prodParentSeq = producer->seq;
+    for (unsigned i = 0; i < si.numSlots; ++i) {
+        const std::size_t idx = slotIndex(*di, i);
+        DynInst *producer = slotProducers[idx];
+        if (producer == nullptr)
+            continue;
+        SALAM_ASSERT(producer->committed());
+        slotValues[idx] = producer->result;
+        SALAM_ASSERT(producer->unissuedReaders > 0);
+        // Draining the producer's output register may open its
+        // successor instance's hand-off gate.
+        if (--producer->unissuedReaders == 0 &&
+            producer->nextInstance != nullptr) {
+            wake(producer->nextInstance);
+        }
+        slotProducers[idx] = nullptr;
+        // Remember the latest-committing producer: it is the
+        // critical data predecessor in the recorded CDFG.
+        if (observer.profiler != nullptr) {
+            DynProfile &prof = slab.profileAt(di->seq);
+            const std::uint64_t ready =
+                slab.profileAt(producer->seq).commitCycle;
+            if (prof.prodParentSeq == obs::noProfSeq ||
+                ready > prof.prodReadyCycle ||
+                (ready == prof.prodReadyCycle &&
+                 producer->seq > prof.prodParentSeq)) {
+                prof.prodReadyCycle = ready;
+                prof.prodParentSeq = producer->seq;
             }
         }
     }
@@ -360,22 +521,22 @@ RuntimeEngine::handOffOpen(const DynInst &di) const
     // value was produced and every reader of it has captured it.
     const DynInst *prev = di.prevInstance;
     return prev == nullptr ||
-        (prev->issued && prev->unissuedReaders == 0);
+        (prev->issued() && prev->unissuedReaders == 0);
 }
 
 bool
-RuntimeEngine::fuAvailable(const DynInst &di) const
+RuntimeEngine::fuAvailable(const DynInst &di,
+                           const StaticInstInfo &si) const
 {
     // The shared (or dedicated) unit enforces the initiation
     // interval against the previous instance.
     const DynInst *prev = di.prevInstance;
     if (prev != nullptr &&
-        cycleCount <
-            prev->issueCycle + di.staticInfo->initiationInterval) {
+        cycleCount < prev->issueCycle + si.initiationInterval) {
         return false;
     }
 
-    std::size_t t = static_cast<std::size_t>(di.staticInfo->fu);
+    std::size_t t = static_cast<std::size_t>(si.fu);
     unsigned limit = cfg.fuLimits[t];
     if (limit == 0)
         return true; // dedicated unit per static instruction
@@ -387,18 +548,17 @@ RuntimeEngine::fuAvailable(const DynInst &di) const
 }
 
 void
-RuntimeEngine::occupyFu(DynInst *di)
+RuntimeEngine::occupyFu(const StaticInstInfo &si)
 {
-    FuType type = di->staticInfo->fu;
-    if (type == FuType::None)
+    if (si.fu == FuType::None)
         return;
-    std::size_t t = static_cast<std::size_t>(type);
+    std::size_t t = static_cast<std::size_t>(si.fu);
     unsigned limit = cfg.fuLimits[t];
     if (limit == 0)
         return; // dedicated: II enforced via prevInstance
     for (auto &free_at : poolFreeAt[t]) {
         if (free_at <= cycleCount) {
-            free_at = cycleCount + di->staticInfo->initiationInterval;
+            free_at = cycleCount + si.initiationInterval;
             return;
         }
     }
@@ -408,37 +568,29 @@ RuntimeEngine::occupyFu(DynInst *di)
 void
 RuntimeEngine::resolveAddress(DynInst *di)
 {
-    if (di->addrKnown)
+    if (di->has(DynInst::AddrKnown))
         return;
-    std::size_t ptr_slot = pointerSlot(*di);
-    const DynInst *producer = di->producers[ptr_slot];
+    const std::size_t ptr =
+        slotIndex(*di, di->isLoad() ? 0 : 1);
+    const DynInst *producer = slotProducers[ptr];
     RuntimeValue addr;
     if (producer == nullptr) {
-        addr = di->operandValues[ptr_slot];
-    } else if (producer->committed) {
+        addr = slotValues[ptr];
+    } else if (producer->committed()) {
         addr = producer->result;
     } else {
         return;
     }
-    di->memAddr = addr.bits;
-    if (di->isLoad) {
-        di->memSize = static_cast<unsigned>(
-            di->inst->type()->storeSize());
-    } else {
-        const auto *store =
-            static_cast<const StoreInst *>(di->inst);
-        di->memSize = static_cast<unsigned>(
-            store->value()->type()->storeSize());
-    }
-    di->addrKnown = true;
+    memOpOf(*di).addr = addr.bits;
+    di->set(DynInst::AddrKnown);
     // Resolutions happen only in the sweep, whose ordering checks
     // use the summary as of the sweep's start.
     SALAM_ASSERT(inScan);
     summaryPending.emplace_back(di, false);
     if (capture != nullptr) {
         DynTraceInst &rec = capture->insts[di->seq];
-        rec.memAddr = di->memAddr;
-        rec.memSize = di->memSize;
+        rec.memAddr = addr.bits;
+        rec.memSize = info(*di).accessSize;
     }
 }
 
@@ -449,7 +601,7 @@ RuntimeEngine::noteAddressReady(DynInst *di)
     // program order with its pointer committed and its fence passed:
     // this one if the op is still ahead of the cursor, else the
     // next. Before the fence, the fence step resolves it.
-    if (di->addrKnown || di->minIssueCycle > cycleCount)
+    if (di->has(DynInst::AddrKnown) || !di->has(DynInst::FenceOpen))
         return;
     if (inScan && di->seq > scanCursor) {
         resolveAddress(di); // still ahead in this cycle's sweep
@@ -463,16 +615,16 @@ RuntimeEngine::snapshotUnknowns()
 {
     // Every op older than a cursor has a resolved address (or left
     // the window), so each cursor only moves forward.
-    const std::uint64_t base = memoryOrder.empty()
-        ? nextMemSeq
-        : memoryOrder.front()->memSeq;
     auto first_unknown = [&](std::uint64_t &cursor,
                              bool stores) -> std::uint64_t {
-        cursor = std::max(cursor, base);
+        cursor = std::max(cursor, memFront);
         for (; cursor < nextMemSeq; ++cursor) {
-            const DynInst *op = memoryOrder[cursor - base];
-            if (op->isStore == stores && !op->addrKnown)
-                return cursor;
+            const DynInst *op =
+                memRing[cursor & (memRing.size() - 1)].op;
+            if (op->isStore() == stores &&
+                !op->has(DynInst::AddrKnown)) {
+                return op->seq;
+            }
         }
         return ~0ull;
     };
@@ -484,122 +636,121 @@ void
 RuntimeEngine::updateSummary(const DynInst *op, bool committed)
 {
     ++work.summaryUpdates;
-    std::vector<MemRef> &refs = op->isStore ? knownStores : knownLoads;
+    std::vector<MemRef> &refs = op->isStore() ? knownStores : knownLoads;
     auto by_seq = [](const MemRef &ref, std::uint64_t seq) {
         return ref.seq < seq;
     };
-    auto it = std::lower_bound(refs.begin(), refs.end(), op->memSeq,
+    auto it = std::lower_bound(refs.begin(), refs.end(), op->seq,
                                by_seq);
     if (committed) {
-        SALAM_ASSERT(it != refs.end() && it->seq == op->memSeq);
+        SALAM_ASSERT(it != refs.end() && it->seq == op->seq);
         refs.erase(it);
     } else {
-        refs.insert(it, {op->memSeq, op->memAddr, op->memSize});
+        refs.insert(it, {op->seq, memOpOf(*op).addr,
+                         info(*op).accessSize});
     }
 }
 
 bool
-RuntimeEngine::memoryOrderingAllows(const DynInst &di) const
+RuntimeEngine::memoryOrderingAllows(const DynInst &di,
+                                    const StaticInstInfo &si) const
 {
-    SALAM_ASSERT(di.addrKnown);
+    SALAM_ASSERT(di.has(DynInst::AddrKnown));
     // Unknown-address older stores block everything younger;
     // unknown older loads block younger stores.
-    if (snapUnknownStore < di.memSeq)
+    if (snapUnknownStore < di.seq)
         return false;
-    if (di.isStore && snapUnknownLoad < di.memSeq)
+    if (di.isStore() && snapUnknownLoad < di.seq)
         return false;
 
     // Any overlapping older store blocks; stores also wait for
     // overlapping older loads.
+    const std::uint64_t addr = memOpOf(di).addr;
+    const unsigned size = si.accessSize;
     auto older_overlap = [&](const std::vector<MemRef> &refs) {
         for (const MemRef &ref : refs) {
-            if (ref.seq >= di.memSeq)
+            if (ref.seq >= di.seq)
                 return false;
-            if (ref.addr < di.memAddr + di.memSize &&
-                di.memAddr < ref.addr + ref.size) {
+            if (ref.addr < addr + size && addr < ref.addr + ref.size)
                 return true;
-            }
         }
         return false;
     };
     if (older_overlap(knownStores))
         return false;
-    return !(di.isStore && older_overlap(knownLoads));
+    return !(di.isStore() && older_overlap(knownLoads));
 }
 
 void
-RuntimeEngine::issueCompute(DynInst *di)
+RuntimeEngine::issueCompute(DynInst *di, const StaticInstInfo &si)
 {
     SALAM_TRACE_AT(Issue, obsNow(), observer.name.c_str(),
                    "issue %s seq=%llu fu=%u",
-                   di->inst->name().c_str(),
+                   si.inst->name().c_str(),
                    (unsigned long long)di->seq,
-                   static_cast<unsigned>(di->staticInfo->fu));
-    captureOperands(di);
-    occupyFu(di);
+                   static_cast<unsigned>(si.fu));
+    captureOperands(di, si);
+    occupyFu(si);
     markIssued(di);
     if (observer.sink)
-        di->issueTick = obsNow();
+        slab.profileAt(di->seq).issueTick = obsNow();
 
     const HardwareProfile &profile = cfg.profile;
-    FuType type = di->staticInfo->fu;
-    if (type != FuType::None) {
-        engineStats.fuEnergyPj +=
-            profile.fu(type).dynamicEnergyPj;
-    }
+    if (si.fu != FuType::None)
+        engineStats.fuEnergyPj += profile.fu(si.fu).dynamicEnergyPj;
     // Register file activity: operand reads now, result write at
     // commit.
-    double read_bits = 0.0;
-    for (std::size_t o = 0; o < di->inst->numOperands(); ++o)
-        read_bits += di->inst->operand(o)->type()->bitWidth();
     engineStats.registerReadEnergyPj +=
-        read_bits * profile.registers().readEnergyPjPerBit;
+        si.readBits * profile.registers().readEnergyPjPerBit;
 
     // Functional evaluation happens at issue; the commit of the
     // result is delayed by the unit latency.
-    if (di->inst->opcode() == Opcode::Phi) {
-        di->result = di->operandValues[0];
-    } else if (di->inst->isComputeOp()) {
-        di->result = evalCompute(*di->inst, di->operandValues);
+    if (di->kind == OpKind::Phi) {
+        di->result = operandValue(*di, 0);
+    } else if (di->kind == OpKind::Compute) {
+        di->result = evalCompute(
+            *si.inst, OperandSpan(&slotValues[slotIndex(*di, 0)],
+                                  si.numSlots));
     }
 
-    unsigned latency = di->staticInfo->latency;
-    if (latency == 0) {
+    if (si.latency == 0) {
         commit(di);
     } else {
-        di->commitCycle = cycleCount + latency;
-        computeQueue.push_back(di);
-        nextCommitDue = std::min(nextCommitDue, di->commitCycle);
-        ++fuInflight[static_cast<std::size_t>(di->staticInfo->fu)];
+        const std::uint64_t due = cycleCount + si.latency;
+        computeQueue.push_back({due, di});
+        nextCommitDue = std::min(nextCommitDue, due);
+        ++fuInflight[static_cast<std::size_t>(si.fu)];
     }
 }
 
 void
 RuntimeEngine::commit(DynInst *di)
 {
-    SALAM_ASSERT(!di->committed);
-    di->committed = true;
+    SALAM_ASSERT(!di->committed());
+    di->set(DynInst::Committed);
     ++engineStats.committedInstructions;
-    // The engine is ticked every cycle while active, so queued
-    // compute ops reach here exactly at their scheduled cycle; for
-    // everything else (memory, branches, zero-latency wiring) this
-    // is the only place the commit cycle gets stamped.
-    di->commitCycle = cycleCount;
-    if (observer.sink && di->issued &&
-        (di->isMemory() || di->staticInfo->latency > 0)) {
-        Tick end = obsNow();
-        Tick dur = end > di->issueTick ? end - di->issueTick : 0;
-        observer.sink->recordSlice(
-            di->issueTick, dur, observer.name,
-            di->isMemory() ? "mem" : "compute",
-            di->isLoad ? "load"
-                       : di->isStore ? "store" : di->inst->name());
+    const StaticInstInfo &si = info(*di);
+    if (observer.sink || observer.profiler) {
+        // The engine is ticked every cycle while active, so queued
+        // compute ops reach here exactly at their scheduled cycle.
+        DynProfile &prof = slab.profileAt(di->seq);
+        prof.commitCycle = cycleCount;
+        if (observer.sink && di->issued() &&
+            (di->isMemory() || si.latency > 0)) {
+            Tick end = obsNow();
+            Tick dur = end > prof.issueTick ? end - prof.issueTick : 0;
+            observer.sink->recordSlice(
+                prof.issueTick, dur, observer.name,
+                di->isMemory() ? "mem" : "compute",
+                di->isLoad() ? "load"
+                             : di->isStore() ? "store" : si.inst->name());
+        }
     }
-    if (!di->inst->type()->isVoid()) {
-        committedValues[di->staticInfo->resultValueId] = di->result;
-        committedKnown[di->staticInfo->resultValueId] = 1;
+    if (si.hasResult) {
+        committedValues[si.resultValueId] = di->result;
+        committedKnown[si.resultValueId] = 1;
         engineStats.registerWriteEnergyPj +=
-            static_cast<double>(di->staticInfo->resultBits) *
+            static_cast<double>(si.resultBits) *
             cfg.profile.registers().writeEnergyPjPerBit;
     }
     if (observer.profiler != nullptr)
@@ -615,7 +766,8 @@ RuntimeEngine::commit(DynInst *di)
         SALAM_ASSERT(reader->pendingOperands > 0);
         --reader->pendingOperands;
         if (reader->isMemory() &&
-            reader->producers[pointerSlot(*reader)] == di) {
+            slotProducers[slotIndex(*reader, reader->isLoad() ? 0 : 1)] ==
+                di) {
             noteAddressReady(reader);
         }
         wake(reader);
@@ -630,37 +782,38 @@ RuntimeEngine::commit(DynInst *di)
 }
 
 void
-RuntimeEngine::recordProfile(DynInst *di)
+RuntimeEngine::recordProfile(const DynInst *di)
 {
+    const DynProfile &prof = slab.profileAt(di->seq);
     obs::ProfNode node;
     node.seq = di->seq;
-    node.staticId = di->staticInfo->id;
+    node.staticId = di->staticId;
     node.issueCycle = di->issueCycle;
-    node.commitCycle = di->commitCycle;
+    node.commitCycle = prof.commitCycle;
 
     // The instance became ready when its last constraint cleared:
     // the importing terminator (minIssueCycle fence) or the
     // latest-committing operand producer. Ties go to the data edge —
     // it is the longer dependence chain.
-    node.readyCycle = di->minIssueCycle;
-    if (di->ctrlParentSeq != obs::noProfSeq) {
-        node.parentSeq = di->ctrlParentSeq;
-        node.linkCause = di->ctrlLinkCause;
+    node.readyCycle = prof.minIssueCycle;
+    if (prof.ctrlParentSeq != obs::noProfSeq) {
+        node.parentSeq = prof.ctrlParentSeq;
+        node.linkCause = prof.ctrlLinkCause;
     }
-    if (di->prodParentSeq != obs::noProfSeq &&
-        di->prodReadyCycle >= node.readyCycle) {
-        node.readyCycle = di->prodReadyCycle;
-        node.parentSeq = di->prodParentSeq;
+    if (prof.prodParentSeq != obs::noProfSeq &&
+        prof.prodReadyCycle >= node.readyCycle) {
+        node.readyCycle = prof.prodReadyCycle;
+        node.parentSeq = prof.prodParentSeq;
         node.linkCause = obs::ProfCause::DataDep;
     }
     if (node.readyCycle > node.issueCycle)
         node.readyCycle = node.issueCycle;
 
-    node.waitCause = di->waitCause;
+    node.waitCause = prof.waitCause;
     if (di->isMemory()) {
         // Precedence: the most specific memory-system annotation
         // wins; a plain round trip is the default.
-        unsigned flags = di->memServiceFlags;
+        unsigned flags = memOpOf(*di).serviceFlags;
         if (flags & mem::svcCacheMiss)
             node.execCause = obs::ProfCause::CacheMiss;
         else if (flags & mem::svcBankConflict)
@@ -683,20 +836,25 @@ RuntimeEngine::recordProfile(DynInst *di)
 
 void
 RuntimeEngine::memoryResponse(DynInst *op, const std::uint8_t *data,
-                              unsigned size)
+                              unsigned size, unsigned service_flags)
 {
-    SALAM_ASSERT(op->memInFlight);
+    SALAM_ASSERT(op->has(DynInst::MemInFlight));
+    const StaticInstInfo &si = info(*op);
+    MemOp &mop = memOpOf(*op);
     SALAM_TRACE_AT(RuntimeEngine, obsNow(), observer.name,
                    "%s response seq=%llu addr=0x%llx size=%u",
-                   op->isLoad ? "load" : "store",
+                   op->isLoad() ? "load" : "store",
                    (unsigned long long)op->seq,
-                   (unsigned long long)op->memAddr, op->memSize);
-    op->memInFlight = false;
-    if (op->isLoad) {
-        SALAM_ASSERT(size >= op->memSize);
+                   (unsigned long long)mop.addr, si.accessSize);
+    op->clear(DynInst::MemInFlight);
+    // The memory system's service annotations, for the commit's
+    // profile attribution.
+    mop.serviceFlags = service_flags;
+    if (op->isLoad()) {
+        SALAM_ASSERT(size >= si.accessSize);
         std::uint64_t raw = 0;
-        std::memcpy(&raw, data, op->memSize);
-        op->result.bits = RuntimeValue::mask(op->inst->type(), raw);
+        std::memcpy(&raw, data, si.accessSize);
+        op->result.bits = raw & si.loadMask;
         SALAM_ASSERT(loadsInFlight > 0);
         --loadsInFlight;
     } else {
@@ -715,12 +873,13 @@ RuntimeEngine::pruneWindow()
     // may leave once it is committed, every reader has captured its
     // result, and a newer instance of the same static instruction
     // has issued (so nothing consults it for WAW/WAR any more).
+    const std::uint64_t old_front = windowFront;
     while (windowFront < nextSeq) {
         DynInst *front = windowAt(windowFront);
-        if (!front->committed || front->unissuedReaders > 0)
+        if (!front->committed() || front->unissuedReaders > 0)
             break;
         if (front->nextInstance != nullptr &&
-            !front->nextInstance->issued) {
+            !front->nextInstance->issued()) {
             break;
         }
         if (front->nextInstance == nullptr) {
@@ -729,20 +888,30 @@ RuntimeEngine::pruneWindow()
             // value instead. (A future instance then starts without
             // a WAW link to this long-retired one; by then the
             // initiation-interval spacing is trivially satisfied.)
-            DynInst *&latest =
-                latestInstance[front->staticInfo->id];
+            DynInst *&latest = latestInstance[front->staticId];
             if (latest == front)
                 latest = nullptr;
         } else {
             front->nextInstance->prevInstance = nullptr;
         }
         if (front->isMemory()) {
-            SALAM_ASSERT(!memoryOrder.empty() &&
-                         memoryOrder.front() == front);
-            memoryOrder.pop_front();
+            SALAM_ASSERT(memFront < nextMemSeq &&
+                         memRing[memFront & (memRing.size() - 1)].op ==
+                             front);
+            ++memFront;
         }
         ++windowFront;
-        releaseDynInst(front);
+    }
+    if (windowFront == old_front)
+        return;
+    slab.retire(old_front, windowFront);
+    // Operand slots before the new front instance's are free.
+    if (windowFront < nextSeq) {
+        const std::uint32_t base = windowAt(windowFront)->operandBase;
+        slotFront += static_cast<std::uint32_t>(
+            base - static_cast<std::uint32_t>(slotFront));
+    } else {
+        slotFront = slotHead;
     }
 }
 
@@ -835,40 +1004,42 @@ RuntimeEngine::dumpState(obs::JsonBuilder &json) const
     json.field("stores_in_flight", std::uint64_t(storesInFlight));
     json.field("committed_instructions",
                engineStats.committedInstructions);
-    if (pendingImport)
-        json.field("pending_import", pendingImport->name());
+    if (pendingImport != noBlock) {
+        json.field("pending_import",
+                   staticCdfg.blockInfoById(pendingImport).block->name());
+    }
 
-    auto describe = [&json](const DynInst *di) {
+    auto describe = [this, &json](const DynInst *di) {
         json.beginObject()
             .field("seq", di->seq)
-            .field("inst", "%" + di->inst->name())
-            .field("issued", di->issued)
-            .field("committed", di->committed);
+            .field("inst", "%" + info(*di).inst->name())
+            .field("issued", di->issued())
+            .field("committed", di->committed());
         if (di->isMemory()) {
-            json.field("mem",
-                       di->isLoad ? "load" : "store")
-                .field("addr_known", di->addrKnown)
-                .field("addr", di->memAddr)
-                .field("in_flight", di->memInFlight)
+            const MemOp &mop = memOpOf(*di);
+            json.field("mem", di->isLoad() ? "load" : "store")
+                .field("addr_known", di->has(DynInst::AddrKnown))
+                .field("addr", mop.addr)
+                .field("in_flight", di->has(DynInst::MemInFlight))
                 .field("service_flags",
-                       std::uint64_t(di->memServiceFlags));
+                       std::uint64_t(mop.serviceFlags));
         }
         json.endObject();
     };
 
     json.beginArray("reservation_queue");
     for (std::uint64_t s = windowFront; s < nextSeq; ++s) {
-        if (!windowAt(s)->issued)
+        if (!windowAt(s)->issued())
             describe(windowAt(s));
     }
     json.endArray();
     json.beginArray("compute_queue");
-    for (const DynInst *di : computeQueue)
-        describe(di);
+    for (const ComputeEntry &entry : computeQueue)
+        describe(entry.op);
     json.endArray();
     json.beginArray("memory_order");
-    for (const DynInst *di : memoryOrder)
-        describe(di);
+    for (std::uint64_t m = memFront; m < nextMemSeq; ++m)
+        describe(memRing[m & (memRing.size() - 1)].op);
     json.endArray();
 }
 
@@ -891,29 +1062,52 @@ RuntimeEngine::finish()
 }
 
 void
+RuntimeEngine::countIssue(IssueClass cls, IssueTally &tally)
+{
+    tally.any = true;
+    switch (cls) {
+      case IssueClass::Load:
+        ++tally.loads;
+        ++engineStats.loadsIssued;
+        break;
+      case IssueClass::Store:
+        ++tally.stores;
+        ++engineStats.storesIssued;
+        break;
+      case IssueClass::Fp:
+        ++tally.fp;
+        ++engineStats.fpOpsIssued;
+        break;
+      case IssueClass::Int:
+        ++engineStats.intOpsIssued;
+        break;
+      case IssueClass::Other:
+        ++engineStats.otherOpsIssued;
+        break;
+    }
+    if (observer.issueClasses)
+        observer.issueClasses->add(static_cast<unsigned>(cls));
+}
+
+void
 RuntimeEngine::visit(DynInst *di, IssueTally &tally)
 {
     ++work.visits;
-    Opcode op = di->inst->opcode();
-    if (op == Opcode::Br) {
-        const auto *br = static_cast<const BranchInst *>(di->inst);
-        captureOperands(di);
-        const BasicBlock *target;
-        if (br->isConditional()) {
-            target = di->operandValues[0].asBool() ? br->ifTrue()
-                                                   : br->ifFalse();
-        } else {
-            target = br->ifTrue();
-        }
+    const StaticInstInfo &si = info(*di);
+    switch (di->kind) {
+      case OpKind::Branch: {
+        captureOperands(di, si);
+        const std::uint32_t target =
+            !si.conditional || operandValue(*di, 0).asBool()
+                ? si.succTrue
+                : si.succFalse;
         markIssued(di);
         commit(di);
-        if (capture != nullptr) {
-            capture->insts[di->seq].branchTarget =
-                staticCdfg.blockInfo(target).id;
-        }
-        const BasicBlock *cur = di->inst->parent();
+        if (capture != nullptr)
+            capture->insts[di->seq].branchTarget = target;
+        const std::uint32_t cur = si.blockId;
         if (cfg.blockSequentialImport && target != cur &&
-            pendingImport == nullptr) {
+            pendingImport == noBlock) {
             // Defer the state transition until drain.
             pendingImport = target;
             pendingImportFrom = cur;
@@ -927,114 +1121,91 @@ RuntimeEngine::visit(DynInst *di, IssueTally &tally)
             importCtrlSeq = obs::noProfSeq;
         }
         --unissuedCount;
-        tally.any = true;
-        ++engineStats.otherOpsIssued;
-        if (observer.issueClasses)
-            observer.issueClasses->add(laneOther);
+        countIssue(si.issueClass, tally);
         return;
-    }
-    if (op == Opcode::Ret) {
-        captureOperands(di);
-        if (di->inst->numOperands() == 1)
-            di->result = di->operandValues[0];
+      }
+      case OpKind::Ret:
+        captureOperands(di, si);
+        if (si.numSlots == 1)
+            di->result = operandValue(*di, 0);
         markIssued(di);
         commit(di);
         retSeen = true;
         --unissuedCount;
-        tally.any = true;
-        ++engineStats.otherOpsIssued;
-        if (observer.issueClasses)
-            observer.issueClasses->add(laneOther);
+        countIssue(si.issueClass, tally);
         return;
-    }
-
-    if (di->isMemory()) {
+      case OpKind::Load:
+      case OpKind::Store: {
         // Operands are ready, so the pointer resolved by now.
-        SALAM_ASSERT(di->addrKnown);
-        if (!memoryOrderingAllows(*di)) {
-            di->waitCause = obs::ProfCause::MemOrdering;
+        SALAM_ASSERT(di->has(DynInst::AddrKnown));
+        if (!memoryOrderingAllows(*di, si)) {
+            noteWait(di, obs::ProfCause::MemOrdering);
             return;
         }
-        bool is_load = di->isLoad;
+        const bool is_load = di->isLoad();
         if (is_load && (tally.loads >= cfg.readPortsPerCycle ||
                         loadsInFlight >= cfg.readQueueSize)) {
             tally.loadBlocked = true;
-            di->waitCause = obs::ProfCause::MemPort;
+            noteWait(di, obs::ProfCause::MemPort);
             return;
         }
         if (!is_load && (tally.stores >= cfg.writePortsPerCycle ||
                          storesInFlight >= cfg.writeQueueSize)) {
             tally.storeBlocked = true;
-            di->waitCause = obs::ProfCause::MemPort;
+            noteWait(di, obs::ProfCause::MemPort);
             return;
         }
-        captureOperands(di);
-        if (!client.engineIssueMemory(di)) {
+        captureOperands(di, si);
+        // A store's data is its value operand (slot 0).
+        const MemAccess access{
+            di, memOpOf(*di).addr, si.accessSize, is_load,
+            is_load ? 0 : operandValue(*di, 0).bits};
+        if (!client.engineIssueMemory(access)) {
             // Interface refused; operands stay captured, retry next
             // cycle (captureOperands is idempotent once producers
             // are cleared).
-            di->waitCause = obs::ProfCause::MemPort;
+            noteWait(di, obs::ProfCause::MemPort);
             return;
         }
         markIssued(di);
-        di->memInFlight = true;
+        di->set(DynInst::MemInFlight);
         if (observer.sink)
-            di->issueTick = obsNow();
+            slab.profileAt(di->seq).issueTick = obsNow();
         SALAM_TRACE_AT(Issue, obsNow(), observer.name,
                        "issue %s seq=%llu addr=0x%llx size=%u",
                        is_load ? "load" : "store",
                        (unsigned long long)di->seq,
-                       (unsigned long long)di->memAddr, di->memSize);
-        if (is_load) {
+                       (unsigned long long)access.addr, access.size);
+        if (is_load)
             ++loadsInFlight;
-            ++tally.loads;
-            ++engineStats.loadsIssued;
-            if (observer.issueClasses)
-                observer.issueClasses->add(laneLoad);
-        } else {
+        else
             ++storesInFlight;
-            ++tally.stores;
-            ++engineStats.storesIssued;
-            if (observer.issueClasses)
-                observer.issueClasses->add(laneStore);
-        }
-        tally.any = true;
         --unissuedCount;
+        countIssue(si.issueClass, tally);
         return;
+      }
+      case OpKind::Compute:
+      case OpKind::Phi:
+        break;
     }
 
     // Compute ops (including phi and zero-latency wiring).
-    if (di->staticInfo->fu != FuType::None) {
+    if (si.fu != FuType::None) {
         if (!handOffOpen(*di)) {
             // Parked until the previous instance issues or its last
             // reader captures; both re-arm this one.
-            di->waitCause = obs::ProfCause::FuContention;
+            noteWait(di, obs::ProfCause::FuContention);
             clearCandidate(di);
             return;
         }
-        if (!fuAvailable(*di)) {
-            di->waitCause = obs::ProfCause::FuContention;
+        if (!fuAvailable(*di, si)) {
+            noteWait(di, obs::ProfCause::FuContention);
             return;
         }
     }
-    issueCompute(di);
-    tally.any = true;
+    issueCompute(di, si);
     --unissuedCount;
-    if (isFloatingPointOp(op) ||
-        di->staticInfo->fu == FuType::FpSpecial) {
-        ++tally.fp;
-        ++engineStats.fpOpsIssued;
-        if (observer.issueClasses)
-            observer.issueClasses->add(laneFp);
-    } else if (di->staticInfo->fu != FuType::None) {
-        ++engineStats.intOpsIssued;
-        if (observer.issueClasses)
-            observer.issueClasses->add(laneInt);
-    } else {
-        ++engineStats.otherOpsIssued;
-        if (observer.issueClasses)
-            observer.issueClasses->add(laneOther);
-    }
+    countIssue(si.issueClass, tally);
 }
 
 void
@@ -1053,15 +1224,16 @@ RuntimeEngine::cycle()
     if (cycleCount >= nextCommitDue) {
         nextCommitDue = ~0ull;
         for (std::size_t i = 0; i < computeQueue.size();) {
-            DynInst *op = computeQueue[i];
-            if (op->commitCycle <= cycleCount) {
+            const ComputeEntry entry = computeQueue[i];
+            if (entry.commitCycle <= cycleCount) {
                 --fuInflight[static_cast<std::size_t>(
-                    op->staticInfo->fu)];
-                commit(op);
+                    info(*entry.op).fu)];
+                commit(entry.op);
                 computeQueue[i] = computeQueue.back();
                 computeQueue.pop_back();
             } else {
-                nextCommitDue = std::min(nextCommitDue, op->commitCycle);
+                nextCommitDue =
+                    std::min(nextCommitDue, entry.commitCycle);
                 ++i;
             }
         }
@@ -1070,7 +1242,7 @@ RuntimeEngine::cycle()
     // 2. Retry a deferred block import. Under block-sequential
     //    scheduling a cross-block import additionally waits for the
     //    pipeline to drain (FSM state-transition semantics).
-    if (pendingImport != nullptr) {
+    if (pendingImport != noBlock) {
         bool drained = unissuedCount == 0 && computeQueue.empty() &&
             loadsInFlight == 0 && storesInFlight == 0;
         if (!cfg.blockSequentialImport || drained ||
@@ -1086,12 +1258,12 @@ RuntimeEngine::cycle()
             importBlock(pendingImport, pendingImportFrom);
             importCtrlSeq = obs::noProfSeq;
             importCtrlCause = obs::ProfCause::Control;
-            if (pendingImport == nullptr) {
+            if (pendingImport == noBlock) {
                 importMemWaitCycles = 0;
                 importOtherWaitCycles = 0;
             }
         }
-        if (pendingImport != nullptr) {
+        if (pendingImport != noBlock) {
             // Memory holds the import back either as in-flight ops
             // or as ready ops the ports refused last cycle.
             if (loadsInFlight + storesInFlight > 0 ||
@@ -1115,6 +1287,7 @@ RuntimeEngine::cycle()
     //    a. Fence step: last cycle's imports may issue now; memory
     //       ops with a ready pointer resolve their address.
     for (DynInst *di : fencedNow) {
+        di->set(DynInst::FenceOpen);
         if (di->isMemory())
             resolveAddress(di);
         if (di->pendingOperands == 0)
@@ -1142,13 +1315,13 @@ RuntimeEngine::cycle()
     //       Blocks imported here fence to the next cycle.
     IssueTally tally;
     firstUnissued = std::max(firstUnissued, windowFront);
-    while (firstUnissued < nextSeq && windowAt(firstUnissued)->issued)
+    while (firstUnissued < nextSeq && windowAt(firstUnissued)->issued())
         ++firstUnissued;
     std::uint64_t next = firstUnissued;
     while (next < nextSeq) {
         std::uint64_t word = candidateWord(next) & (~0ull << (next & 63));
         if (word == 0) {
-            next = (next | 63) + 1;
+            next = nextCandidateWord((next | 63) + 1, nextSeq);
             continue;
         }
         std::uint64_t seq =
@@ -1177,7 +1350,7 @@ RuntimeEngine::cycle()
     //    and every queue has drained.
     if (retSeen && unissuedCount == 0 && computeQueue.empty() &&
         loadsInFlight == 0 && storesInFlight == 0 &&
-        pendingImport == nullptr) {
+        pendingImport == noBlock) {
         finish();
         return;
     }

@@ -34,6 +34,11 @@
  * date as addresses resolve and memory ops commit; updates made
  * during a cycle's sweep become visible at the next cycle.
  *
+ * Instances are 64-byte records in a seq-indexed slab of fixed-size
+ * chunks; their operands live in a ring of slots allocated in seq
+ * order. Once the window has reached its deepest point, the
+ * per-instruction path allocates nothing.
+ *
  * The engine is a plain clock-stepped class (no SimObject coupling)
  * so it can be unit-tested against a scripted memory interface; the
  * ComputeUnit SimObject drives it inside a full system.
@@ -44,7 +49,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -63,27 +67,44 @@
 namespace salam::core
 {
 
-/** One dynamic instruction in flight. */
-struct DynInst
+/**
+ * One dynamic instruction in flight: the hot record, exactly one
+ * cache line, holding what the issue sweep, wake-up, commit and
+ * window retirement read. Records live in the engine's seq-indexed
+ * slab; operand producers and values live in the engine's operand
+ * ring, a memory op's address in its memory-order ring, and
+ * profiling state in a cold record beside the hot one.
+ */
+struct alignas(64) DynInst
 {
-    const ir::Instruction *inst = nullptr;
-    const StaticInstInfo *staticInfo = nullptr;
-    std::uint64_t seq = 0;
-
-    /** First cycle this instance may issue (block-import fence). */
-    std::uint64_t minIssueCycle = 0;
-
-    bool issued = false;
-    bool committed = false;
-
-    /** Dynamic consumers that have not issued yet (WAR tracking). */
-    unsigned unissuedReaders = 0;
-
-    /** Operand producers that have not committed (issue gate). */
-    unsigned pendingOperands = 0;
+    /** Bits of `flags`. */
+    enum Flag : std::uint8_t
+    {
+        Issued = 1u << 0,
+        Committed = 1u << 1,
+        /** Past the block-import fence (may issue). */
+        FenceOpen = 1u << 2,
+        /** Memory ops: the effective address has resolved. */
+        AddrKnown = 1u << 3,
+        /** Memory ops: issued to the client, no response yet. */
+        MemInFlight = 1u << 4,
+    };
 
     /** End of a reader-edge list. */
     static constexpr std::uint32_t noReader = ~0u;
+
+    std::uint64_t seq = 0;
+
+    ir::RuntimeValue result;
+
+    /** Cycle this instance issued (valid once issued). */
+    std::uint64_t issueCycle = 0;
+
+    /** Previous dynamic instance of the same static instruction. */
+    DynInst *prevInstance = nullptr;
+
+    /** Next dynamic instance (for safe window retirement). */
+    DynInst *nextInstance = nullptr;
 
     /**
      * Head of the list of instances bound to this one as an operand
@@ -92,95 +113,61 @@ struct DynInst
      */
     std::uint32_t firstReader = noReader;
 
-    /** Previous dynamic instance of the same static instruction. */
-    DynInst *prevInstance = nullptr;
+    /** Low 32 bits of the position of operand slot 0 in the ring. */
+    std::uint32_t operandBase = 0;
 
-    /** Next dynamic instance (for safe window retirement). */
-    DynInst *nextInstance = nullptr;
+    /** Dynamic consumers that have not issued yet (WAR tracking). */
+    std::uint32_t unissuedReaders = 0;
 
-    /** Producer instance for each operand (null when committed). */
-    std::vector<DynInst *> producers;
+    /** StaticInstInfo::id of the instruction. */
+    std::uint32_t staticId = 0;
 
-    /** Captured operand values (filled at issue). */
-    std::vector<ir::RuntimeValue> operandValues;
+    /** Memory ops: low 32 bits of the memory-order position. */
+    std::uint32_t memSlot = 0;
 
-    ir::RuntimeValue result;
+    /** Operand producers that have not committed (issue gate). */
+    std::uint16_t pendingOperands = 0;
 
-    /** Cycle the result commits (valid once issued, compute ops). */
-    std::uint64_t commitCycle = 0;
-    std::uint64_t issueCycle = 0;
+    OpKind kind = OpKind::Compute;
 
-    /** Tick at issue (recorded only while event tracing is on). */
-    Tick issueTick = 0;
+    /** Flag bits, all clear at import. */
+    std::uint8_t flags = 0;
 
-    // Memory-op state.
+    bool has(Flag f) const { return (flags & f) != 0; }
+
+    void set(Flag f) { flags |= f; }
+
+    void clear(Flag f) { flags &= static_cast<std::uint8_t>(~f); }
+
+    bool issued() const { return has(Issued); }
+
+    bool committed() const { return has(Committed); }
+
+    bool isLoad() const { return kind == OpKind::Load; }
+
+    bool isStore() const { return kind == OpKind::Store; }
+
+    bool isMemory() const { return isLoad() || isStore(); }
+};
+
+static_assert(sizeof(DynInst) == 64, "DynInst is one cache line");
+
+/**
+ * A memory access the engine hands its client (EngineClient::
+ * engineIssueMemory) to perform.
+ */
+struct MemAccess
+{
+    /** The issuing instance, handed back with the response. */
+    DynInst *op = nullptr;
+    std::uint64_t addr = 0;
+    unsigned size = 0;
     bool isLoad = false;
-    bool isStore = false;
-    bool addrKnown = false;
-    bool memInFlight = false;
-    std::uint64_t memAddr = 0;
-    unsigned memSize = 0;
-    /** Position in program memory order (disambiguation). */
-    std::uint64_t memSeq = 0;
+    /** Stores: the value operand's bits (little-endian). */
+    std::uint64_t storeBits = 0;
 
-    // Profiling state, maintained only while a profiler is attached.
-    /** Commit cycle of the latest dynamic operand producer. */
-    std::uint64_t prodReadyCycle = 0;
-    /** That producer's seq; obs::noProfSeq without one. */
-    std::uint64_t prodParentSeq = obs::noProfSeq;
-    /** Seq of the terminator that imported this instance. */
-    std::uint64_t ctrlParentSeq = obs::noProfSeq;
-    /**
-     * Cause for the control link segment. Control for a prompt
-     * import; a memory cause when the import was deferred mostly
-     * behind in-flight memory operations.
-     */
-    obs::ProfCause ctrlLinkCause = obs::ProfCause::Control;
-    /** Last reason this instance was seen blocked while ready. */
-    obs::ProfCause waitCause = obs::ProfCause::DataDep;
-    /** mem::Packet service annotations copied from the response. */
-    unsigned memServiceFlags = 0;
-
-    bool isMemory() const { return isLoad || isStore; }
-
-    /**
-     * Return to freshly-constructed state, keeping the capacity of
-     * the producer/operand vectors (freelist-arena recycling).
-     */
-    void
-    reset()
-    {
-        inst = nullptr;
-        staticInfo = nullptr;
-        seq = 0;
-        minIssueCycle = 0;
-        issued = false;
-        committed = false;
-        unissuedReaders = 0;
-        pendingOperands = 0;
-        prevInstance = nullptr;
-        nextInstance = nullptr;
-        producers.clear();
-        firstReader = noReader;
-        operandValues.clear();
-        result = ir::RuntimeValue{};
-        commitCycle = 0;
-        issueCycle = 0;
-        issueTick = 0;
-        isLoad = false;
-        isStore = false;
-        addrKnown = false;
-        memInFlight = false;
-        memAddr = 0;
-        memSize = 0;
-        memSeq = 0;
-        prodReadyCycle = 0;
-        prodParentSeq = obs::noProfSeq;
-        ctrlParentSeq = obs::noProfSeq;
-        ctrlLinkCause = obs::ProfCause::Control;
-        waitCause = obs::ProfCause::DataDep;
-        memServiceFlags = 0;
-    }
+    /** The bytes a store writes. */
+    const void *storeData() const { return &storeBits; }
 };
 
 /** Per-run statistics, the raw material for Figs. 13-15. */
@@ -212,9 +199,11 @@ struct EngineStats
     /** Dynamic instructions retired (forward-progress signal). */
     std::uint64_t committedInstructions = 0;
 
-    // Allocation pressure (host telemetry): DynInst requests served
-    // from the freelist vs ones that grew the arena with a heap
-    // allocation.
+    // Allocation pressure (host telemetry): an instance created while
+    // the live window (nextSeq - windowFront) is at its high-water
+    // mark is a miss (it grows the slab's record count), any other a
+    // hit (it reuses a retired record). Only window retirement frees
+    // a record, so these are exactly a freelist arena's counts.
     std::uint64_t arenaHits = 0;
     std::uint64_t arenaMisses = 0;
 
@@ -307,11 +296,10 @@ class EngineClient
     virtual ~EngineClient() = default;
 
     /**
-     * Issue a memory operation to the communications interface.
-     * For stores, op->operandValues[0] holds the data. Returns
-     * false when the interface cannot accept it this cycle.
+     * Issue a memory access to the communications interface.
+     * Returns false when the interface cannot accept it this cycle.
      */
-    virtual bool engineIssueMemory(DynInst *op) = 0;
+    virtual bool engineIssueMemory(const MemAccess &access) = 0;
 
     /** Called when the engine has future work to do. */
     virtual void engineRequestTick() = 0;
@@ -335,10 +323,11 @@ class RuntimeEngine
 
     /**
      * Deliver a memory response for @p op. Loads carry @p data of
-     * @p size bytes. May arrive between engine cycles.
+     * @p size bytes; @p service_flags are the response's
+     * mem::ServiceFlags. May arrive between engine cycles.
      */
     void memoryResponse(DynInst *op, const std::uint8_t *data,
-                        unsigned size);
+                        unsigned size, unsigned service_flags);
 
     bool running() const { return active; }
 
@@ -359,8 +348,18 @@ class RuntimeEngine
 
     unsigned writesInFlight() const { return storesInFlight; }
 
-    /** Attach (or replace) the observability wiring. */
-    void setObserver(EngineObserver obs) { observer = std::move(obs); }
+    /**
+     * Attach (or replace) the observability wiring. A profiler
+     * attached after the first cycle records the instances already
+     * in the window with an approximate ready cycle.
+     */
+    void setObserver(EngineObserver obs);
+
+    /**
+     * Instances the slab's first chunk table covers under @p config;
+     * a deeper window doubles the table.
+     */
+    static std::size_t initialWindowCapacity(const DeviceConfig &config);
 
     /**
      * Capture this run's dynamic trace into @p trace (see
@@ -399,16 +398,111 @@ class RuntimeEngine
         numStallLanes
     };
 
-    /** Issue-class lane indices (issueLaneNames() order). */
-    enum IssueLane : std::size_t
+    /** A memory op in the window, in program memory order. */
+    struct MemOp
     {
-        laneLoad = 0,
-        laneStore,
-        laneFp,
-        laneInt,
-        laneOther,
-        numIssueLanes
+        DynInst *op;
+        /** Effective address (valid once resolved). */
+        std::uint64_t addr;
+        /** mem::ServiceFlags copied from the response. */
+        unsigned serviceFlags;
     };
+
+    /** No block (pending import slot empty). */
+    static constexpr std::uint32_t noBlock = ~0u;
+
+    /**
+     * Cold per-instance state, kept beside the hot record and
+     * written only while a profiler (or, for issueTick, a trace
+     * sink) is attached.
+     */
+    struct DynProfile
+    {
+        /** First cycle the instance could issue (import fence). */
+        std::uint64_t minIssueCycle;
+        std::uint64_t commitCycle;
+        /** Tick at issue (event tracing). */
+        Tick issueTick;
+        /** Commit cycle of the latest dynamic operand producer. */
+        std::uint64_t prodReadyCycle;
+        /** That producer's seq; obs::noProfSeq without one. */
+        std::uint64_t prodParentSeq;
+        /** Seq of the terminator that imported this instance. */
+        std::uint64_t ctrlParentSeq;
+        /**
+         * Cause for the control link segment. Control for a prompt
+         * import; a memory cause when the import was deferred mostly
+         * behind in-flight memory operations.
+         */
+        obs::ProfCause ctrlLinkCause;
+        /** Last reason this instance was seen blocked while ready. */
+        obs::ProfCause waitCause;
+    };
+
+    /**
+     * The window's records: seq s lives at slot s % chunkSize of
+     * the chunk for s / chunkSize. Chunks are fixed-size and never
+     * move, so a DynInst pointer stays valid while its seq is in the
+     * window; a chunk wholly behind the window front is recycled for
+     * the next chunk the window enters. The chunk table is a
+     * power-of-two ring of chunk pointers that doubles when the
+     * window spans more chunks than it holds.
+     */
+    class Slab
+    {
+      public:
+        static constexpr unsigned chunkBits = 8;
+        static constexpr std::uint64_t chunkSize = 1ull << chunkBits;
+
+        explicit Slab(std::size_t capacity);
+
+        DynInst &
+        at(std::uint64_t seq) const
+        {
+            return chunkOf(seq).insts[seq & (chunkSize - 1)];
+        }
+
+        DynProfile &
+        profileAt(std::uint64_t seq) const
+        {
+            return chunkOf(seq).profile[seq & (chunkSize - 1)];
+        }
+
+        /**
+         * The record for @p seq, the window's next seq, given the
+         * window front @p front; enters a new chunk when @p seq
+         * starts one.
+         */
+        DynInst &claim(std::uint64_t seq, std::uint64_t front);
+
+        /** The front moved from @p old_front to @p new_front. */
+        void retire(std::uint64_t old_front, std::uint64_t new_front);
+
+      private:
+        struct Chunk
+        {
+            std::array<DynInst, chunkSize> insts;
+            std::array<DynProfile, chunkSize> profile;
+        };
+
+        Chunk &
+        chunkOf(std::uint64_t seq) const
+        {
+            return *table[(seq >> chunkBits) & (table.size() - 1)];
+        }
+
+        /** Chunk table, indexed by chunk number modulo its size. */
+        std::vector<Chunk *> table;
+        /** Every chunk ever allocated (ownership). */
+        std::vector<std::unique_ptr<Chunk>> chunks;
+        /** Chunks behind the window front, ready for reuse. */
+        std::vector<Chunk *> spare;
+    };
+
+    /** A profiling record for an instance imported now. */
+    static DynProfile freshProfile(std::uint64_t min_issue_cycle,
+                                   std::uint64_t ctrl_parent,
+                                   obs::ProfCause ctrl_cause);
 
     /** Trace timestamp: wall tick when wired, cycle count bare. */
     Tick
@@ -416,30 +510,59 @@ class RuntimeEngine
     {
         return observer.now ? observer.now() : Tick{cycleCount};
     }
-    /** Import @p block's instructions into the reservation queue. */
-    void importBlock(const ir::BasicBlock *block,
-                     const ir::BasicBlock *from);
 
-    /** Create the dynamic instance of @p info's instruction. */
-    DynInst *createDynInst(const StaticInstInfo &info);
-
-    /** Pop a recycled DynInst from the arena (or grow it). */
-    DynInst *acquireDynInst();
-
-    /** Return a retired DynInst to the arena freelist. */
-    void releaseDynInst(DynInst *di) { freeList.push_back(di); }
-
-    /** Link @p reader into @p producer's reader-edge list. */
-    void addReader(DynInst *producer, DynInst *reader);
-
-    /** Double the window ring (and its candidate bitmap). */
-    void growWindow();
+    const StaticInstInfo &
+    info(const DynInst &di) const
+    {
+        return infos[di.staticId];
+    }
 
     DynInst *
     windowAt(std::uint64_t seq) const
     {
-        return windowRing[seq & (windowRing.size() - 1)];
+        return &slab.at(seq);
     }
+
+    /** Ring index of operand slot @p i of @p di. */
+    std::size_t
+    slotIndex(const DynInst &di, unsigned i) const
+    {
+        return (std::size_t{di.operandBase} + i) & (slotValues.size() - 1);
+    }
+
+    /** Memory-order ring entry of memory op @p di. */
+    MemOp &
+    memOpOf(const DynInst &di)
+    {
+        return memRing[di.memSlot & (memRing.size() - 1)];
+    }
+
+    const MemOp &
+    memOpOf(const DynInst &di) const
+    {
+        return memRing[di.memSlot & (memRing.size() - 1)];
+    }
+
+    /** Import block @p block_id's instructions (entered from @p from). */
+    void importBlock(std::uint32_t block_id, std::uint32_t from);
+
+    /** Create the dynamic instance of @p info's instruction. */
+    DynInst *createDynInst(const StaticInstInfo &info);
+
+    /** Reserve @p n contiguous operand slots; returns the first. */
+    std::uint64_t allocSlots(unsigned n);
+
+    /** Double the operand ring, keeping live slots in place. */
+    void growSlots();
+
+    /** Double the memory-order ring. */
+    void growMemRing();
+
+    /** Link @p reader into @p producer's reader-edge list. */
+    void addReader(DynInst *producer, DynInst *reader);
+
+    /** Double the candidate bitmap (and its summary). */
+    void growCandidates();
 
     std::uint64_t &
     candidateWord(std::uint64_t seq)
@@ -450,11 +573,15 @@ class RuntimeEngine
     /** Enter @p di into the issue-candidate set. */
     void setCandidate(DynInst *di);
 
-    void
-    clearCandidate(const DynInst *di)
-    {
-        candidateWord(di->seq) &= ~(1ull << (di->seq & 63));
-    }
+    /** Take @p di out of the issue-candidate set. */
+    void clearCandidate(const DynInst *di);
+
+    /**
+     * First seq in [@p seq, @p end) that starts a nonzero candidate
+     * word (@p seq is word-aligned), or @p end if there is none.
+     */
+    std::uint64_t nextCandidateWord(std::uint64_t seq,
+                                    std::uint64_t end) const;
 
     /**
      * Make @p di a candidate if its operands are ready and its
@@ -466,7 +593,14 @@ class RuntimeEngine
     void markIssued(DynInst *di);
 
     /** Capture operand values (producers committed by now). */
-    void captureOperands(DynInst *di);
+    void captureOperands(DynInst *di, const StaticInstInfo &si);
+
+    /** Captured value of operand slot @p i of @p di. */
+    ir::RuntimeValue
+    operandValue(const DynInst &di, unsigned i) const
+    {
+        return slotValues[slotIndex(di, i)];
+    }
 
     /**
      * FU hand-off gate: the previous instance of @p di's
@@ -477,9 +611,9 @@ class RuntimeEngine
     bool handOffOpen(const DynInst &di) const;
 
     /** Initiation interval and pool checks for @p di's FU. */
-    bool fuAvailable(const DynInst &di) const;
+    bool fuAvailable(const DynInst &di, const StaticInstInfo &si) const;
 
-    void occupyFu(DynInst *di);
+    void occupyFu(const StaticInstInfo &si);
 
     /** Try to resolve a memory op's effective address. */
     void resolveAddress(DynInst *di);
@@ -497,7 +631,8 @@ class RuntimeEngine
     void updateSummary(const DynInst *op, bool committed);
 
     /** Memory ordering: may @p di access memory now? */
-    bool memoryOrderingAllows(const DynInst &di) const;
+    bool memoryOrderingAllows(const DynInst &di,
+                              const StaticInstInfo &si) const;
 
     /** Per-cycle issue results, shared by the sweep's visits. */
     struct IssueTally
@@ -513,12 +648,23 @@ class RuntimeEngine
     /** Try to issue candidate @p di this cycle. */
     void visit(DynInst *di, IssueTally &tally);
 
-    void issueCompute(DynInst *di);
+    /** Record @p di's issue class in the stats and lanes. */
+    void countIssue(IssueClass cls, IssueTally &tally);
+
+    void issueCompute(DynInst *di, const StaticInstInfo &si);
 
     void commit(DynInst *di);
 
+    /** Note why ready @p di did not issue (profiling only). */
+    void
+    noteWait(const DynInst *di, obs::ProfCause cause)
+    {
+        if (observer.profiler != nullptr)
+            slab.profileAt(di->seq).waitCause = cause;
+    }
+
     /** Emit @p di's dynamic-CDFG node (profiler is attached). */
-    void recordProfile(DynInst *di);
+    void recordProfile(const DynInst *di);
 
     /** Drop fully retired instructions from the window front. */
     void pruneWindow();
@@ -530,6 +676,8 @@ class RuntimeEngine
     const StaticCdfg &staticCdfg;
     DeviceConfig cfg;
     EngineClient &client;
+    /** staticCdfg's instruction infos, indexed by static id. */
+    const StaticInstInfo *infos;
 
     bool active = false;
     bool completed = false;
@@ -540,28 +688,44 @@ class RuntimeEngine
     /**
      * The instruction window (reservation + in-flight + retired but
      * still referenced): the contiguous seq range [windowFront,
-     * nextSeq), held in a power-of-two ring indexed by seq. Entries
-     * are arena-pooled: retirement returns them to the freelist
-     * instead of deallocating.
+     * nextSeq), its records in the slab.
      */
-    std::vector<DynInst *> windowRing;
+    Slab slab;
     std::uint64_t windowFront = 0;
+
+    /** Largest window so far (arena hit/miss accounting). */
+    std::uint64_t windowHighWater = 0;
 
     /** Every seq below this one has issued (sweep lower bound). */
     std::uint64_t firstUnissued = 0;
 
     /**
-     * Issue candidates, one bit per window seq (same ring indexing
-     * as windowRing): unissued, fence passed, operands ready, and
-     * not held by the FU hand-off gate.
+     * Issue candidates, one bit per window seq in a power-of-two
+     * ring: unissued, fence passed, operands ready, and not held by
+     * the FU hand-off gate.
      */
     std::vector<std::uint64_t> candBits;
 
-    /** Backing storage for every DynInst ever created (arena). */
-    std::vector<std::unique_ptr<DynInst>> arena;
+    /**
+     * One bit per candBits word, set while the word is nonzero, so
+     * the sweep skips empty stretches of the window 4096 seqs at a
+     * time. candBits has a multiple of 64 words.
+     */
+    std::vector<std::uint64_t> candSummary;
 
-    /** Retired instances ready for reuse. */
-    std::vector<DynInst *> freeList;
+    /**
+     * Operand slots, allocated in seq order at import and released
+     * as the window front passes: the producer bound to each slot
+     * (null once captured, or when the value was available at
+     * import) and the slot's value. An instance's slots are
+     * contiguous (an allocation that would wrap skips to the ring
+     * start), so its values form one ir::OperandSpan. Positions
+     * [slotFront, slotHead) are live.
+     */
+    std::vector<DynInst *> slotProducers;
+    std::vector<ir::RuntimeValue> slotValues;
+    std::uint64_t slotHead = 0;
+    std::uint64_t slotFront = 0;
 
     /**
      * Reader edges (DynInst::firstReader lists), recycled through
@@ -593,8 +757,15 @@ class RuntimeEngine
     bool inScan = false;
     std::uint64_t scanCursor = 0;
 
-    /** Issued compute ops waiting to commit, ordered by cycle. */
-    std::vector<DynInst *> computeQueue;
+    /** An issued compute op and the cycle its result commits. */
+    struct ComputeEntry
+    {
+        std::uint64_t commitCycle;
+        DynInst *op;
+    };
+
+    /** Issued compute ops waiting to commit. */
+    std::vector<ComputeEntry> computeQueue;
 
     /** Earliest commitCycle in computeQueue (~0 when empty). */
     std::uint64_t nextCommitDue = ~0ull;
@@ -602,12 +773,19 @@ class RuntimeEngine
     /** computeQueue entries per FU type (occupancy statistics). */
     std::array<std::uint64_t, hw::numFuTypes> fuInflight{};
 
-    /** Memory ops in window, in program order (for ordering). */
-    std::deque<DynInst *> memoryOrder;
+    /**
+     * Memory ops in the window, in program order: a power-of-two
+     * ring indexed by memory-order position, live over [memFront,
+     * nextMemSeq).
+     */
+    std::vector<MemOp> memRing;
+    std::uint64_t memFront = 0;
+    std::uint64_t nextMemSeq = 0;
 
     /** One uncommitted memory reference in the summary. */
     struct MemRef
     {
+        /** Instance seq (memory order is seq order). */
         std::uint64_t seq;
         std::uint64_t addr;
         unsigned size;
@@ -615,8 +793,8 @@ class RuntimeEngine
 
     /**
      * Disambiguation summary: uncommitted memory ops with a resolved
-     * address, ascending by memSeq. Resolutions and commits during
-     * a sweep queue in summaryPending and apply after it, so the
+     * address, ascending by seq. Resolutions and commits during a
+     * sweep queue in summaryPending and apply after it, so the
      * ordering check sees the state as of the sweep's start.
      */
     std::vector<MemRef> knownStores;
@@ -624,14 +802,14 @@ class RuntimeEngine
     std::vector<std::pair<const DynInst *, bool>> summaryPending;
 
     /**
-     * Oldest unresolved store/load (memSeq, ~0 when none) as of the
-     * sweep's start, and the monotone cursors that find them.
+     * Seq of the oldest unresolved store/load (~0 when none) as of
+     * the sweep's start, and the monotone memory-order cursors that
+     * find them.
      */
     std::uint64_t snapUnknownStore = ~0ull;
     std::uint64_t snapUnknownLoad = ~0ull;
     std::uint64_t unknownStoreCursor = 0;
     std::uint64_t unknownLoadCursor = 0;
-    std::uint64_t nextMemSeq = 0;
 
     /**
      * Latest in-window dynamic instance per static instruction,
@@ -651,8 +829,8 @@ class RuntimeEngine
     std::array<std::vector<std::uint64_t>, hw::numFuTypes> poolFreeAt;
 
     /** Pending block import deferred by a full reservation queue. */
-    const ir::BasicBlock *pendingImport = nullptr;
-    const ir::BasicBlock *pendingImportFrom = nullptr;
+    std::uint32_t pendingImport = noBlock;
+    std::uint32_t pendingImportFrom = noBlock;
 
     /** Terminator seq behind the import in progress (profiling). */
     std::uint64_t importCtrlSeq = obs::noProfSeq;

@@ -27,6 +27,7 @@ StaticCdfg::StaticCdfg(const Function &fn, const DeviceConfig &config)
             StaticInstInfo info;
             info.inst = inst.get();
             info.id = id++;
+            info.blockId = binfo.id;
             info.resultValueId =
                 static_cast<unsigned>(fn.numArguments()) + info.id;
             info.isPhi = inst->opcode() == Opcode::Phi;
@@ -51,6 +52,8 @@ StaticCdfg::StaticCdfg(const Function &fn, const DeviceConfig &config)
         }
     }
 
+    for (StaticInstInfo &info : infoVec)
+        decode(info);
     buildPlans();
 
     // Apply resource constraints: the instantiated count is the
@@ -84,6 +87,62 @@ StaticCdfg::StaticCdfg(const Function &fn, const DeviceConfig &config)
         regs.leakagePowerMwPerBit;
     areas.registerUm2 = static_cast<double>(regBits) *
         regs.areaUm2PerBit;
+}
+
+void
+StaticCdfg::decode(StaticInstInfo &info) const
+{
+    const Instruction &inst = *info.inst;
+    const Opcode op = inst.opcode();
+    info.hasResult = !inst.type()->isVoid();
+    // The engine counts pending operands in 16 bits.
+    if (inst.numOperands() > 0xffff)
+        fatal("engine: %%%s has %zu operands (at most 65535)",
+              inst.name().c_str(), inst.numOperands());
+    info.numSlots = static_cast<unsigned>(inst.numOperands());
+    for (std::size_t o = 0; o < inst.numOperands(); ++o)
+        info.readBits += inst.operand(o)->type()->bitWidth();
+
+    switch (op) {
+      case Opcode::Phi:
+        info.kind = OpKind::Phi;
+        // One live operand slot: the incoming value of the edge taken.
+        info.numSlots = 1;
+        break;
+      case Opcode::Load:
+        info.kind = OpKind::Load;
+        info.issueClass = IssueClass::Load;
+        info.accessSize =
+            static_cast<unsigned>(inst.type()->storeSize());
+        info.loadMask = RuntimeValue::mask(inst.type(), ~0ull);
+        break;
+      case Opcode::Store:
+        info.kind = OpKind::Store;
+        info.issueClass = IssueClass::Store;
+        info.accessSize = static_cast<unsigned>(
+            static_cast<const StoreInst &>(inst)
+                .value()->type()->storeSize());
+        break;
+      case Opcode::Br: {
+        const auto &br = static_cast<const BranchInst &>(inst);
+        info.kind = OpKind::Branch;
+        info.conditional = br.isConditional();
+        info.succTrue = blockInfo(br.ifTrue()).id;
+        if (info.conditional)
+            info.succFalse = blockInfo(br.ifFalse()).id;
+        break;
+      }
+      case Opcode::Ret:
+        info.kind = OpKind::Ret;
+        break;
+      default:
+        info.kind = OpKind::Compute;
+        if (isFloatingPointOp(op) || info.fu == FuType::FpSpecial)
+            info.issueClass = IssueClass::Fp;
+        else if (info.fu != FuType::None)
+            info.issueClass = IssueClass::Int;
+        break;
+    }
 }
 
 OperandPlan

@@ -59,24 +59,70 @@ struct OperandPlan
     ir::RuntimeValue constant{};
 };
 
-/** Static information about one instruction in the datapath. */
-struct StaticInstInfo
+/** How the runtime engine schedules an instruction's instances. */
+enum class OpKind : std::uint8_t
+{
+    /** Evaluated by ir::evalCompute at issue. */
+    Compute,
+    /** Forwards the operand of the edge taken. */
+    Phi,
+    Load,
+    Store,
+    /** Imports the successor block when it issues. */
+    Branch,
+    Ret,
+};
+
+/** Issue class, in RuntimeEngine::issueLaneNames() order. */
+enum class IssueClass : std::uint8_t
+{
+    Load,
+    Store,
+    Fp,
+    Int,
+    Other,
+};
+
+/**
+ * Static information about one instruction in the datapath. The
+ * runtime engine's per-instance path reads only these decoded
+ * fields, never the IR; the ones it reads for every instance share
+ * the first cache line.
+ */
+struct alignas(64) StaticInstInfo
 {
     const ir::Instruction *inst = nullptr;
-    /** Unique id across the function (reservation order). */
-    unsigned id = 0;
+    /** Operand register bits read at issue (register energy). */
+    double readBits = 0.0;
     hw::FuType fu = hw::FuType::None;
-    /** Dedicated unit index within its type pool (1-to-1 map). */
-    unsigned fuUnit = 0;
     unsigned latency = 0;
     unsigned initiationInterval = 1;
+    /** Operand slots of a dynamic instance: 1 for phis. */
+    unsigned numSlots = 0;
     /** Result register width in bits (0 for void results). */
     unsigned resultBits = 0;
-
     /** Dense committed-value slot this result commits into. */
     unsigned resultValueId = 0;
-
+    /** Bytes a load reads or a store writes. */
+    unsigned accessSize = 0;
+    /** Unique id across the function (reservation order). */
+    unsigned id = 0;
+    /** Dense id of the block holding the instruction. */
+    unsigned blockId = 0;
+    OpKind kind = OpKind::Compute;
+    IssueClass issueClass = IssueClass::Other;
+    /** The instruction produces a value (non-void result). */
+    bool hasResult = false;
     bool isPhi = false;
+    /** Branch only: two successors (else ifTrue is the target). */
+    bool conditional = false;
+    /** Branch only: successor block ids (ifFalse when conditional). */
+    unsigned succTrue = 0;
+    unsigned succFalse = 0;
+    /** Dedicated unit index within its type pool (1-to-1 map). */
+    unsigned fuUnit = 0;
+    /** Load only: RuntimeValue::mask of the result type, as bits. */
+    std::uint64_t loadMask = ~0ull;
 
     /** Per-operand binding plans (empty for phis). */
     std::vector<OperandPlan> operands;
@@ -153,6 +199,9 @@ class StaticCdfg
   private:
     /** Build the per-operand binding plans (after ids exist). */
     void buildPlans();
+
+    /** Decode scheduling kind, successors and sizes (after ids). */
+    void decode(StaticInstInfo &info) const;
 
     OperandPlan planFor(const ir::Value *operand,
                         const ir::Instruction *user) const;

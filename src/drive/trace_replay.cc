@@ -362,9 +362,10 @@ TraceReplayer::importBlock(std::uint32_t block_id,
     const ReplayPrep &pp = *prep;
     for (unsigned i = 0; i < binfo.numInsts; ++i) {
         std::uint32_t seq = imported++;
-        // Mirrors createDynInst, including the arena-freelist
-        // hit/miss accounting (the engine recycles retired DynInsts;
-        // the replay only mirrors the counters).
+        // Mirrors createDynInst, including the arena hit/miss
+        // accounting: the engine counts a miss when the live window
+        // is at its high-water mark. freeCount is that mark minus
+        // the live window (retired records not yet reused).
         if (freeCount == 0) {
             ++stats.arenaMisses;
         } else {

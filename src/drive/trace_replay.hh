@@ -385,7 +385,10 @@ class TraceReplayer
     bool memStallStoreBlocked = false;
     bool retSeen = false;
 
-    /** Arena-freelist mirror (exact arenaHits/Misses parity). */
+    /**
+     * Window high-water mark minus the live window: the engine's
+     * reusable slab records (exact arenaHits/Misses parity).
+     */
     std::uint64_t freeCount = 0;
 
     // Cycle-domain SPM model (see scratchpad.cc for the original).

@@ -163,11 +163,27 @@ evalCast(Opcode op, const Type *src_type, const Type *dest_type,
     }
 }
 
+namespace
+{
+
+/** Operand @p i of @p operands; a missing operand is a simulator bug. */
+RuntimeValue
+operandAt(OperandSpan operands, std::size_t i)
+{
+    if (i >= operands.size())
+        panic("operand %zu of %zu requested", i, operands.size());
+    return operands[i];
+}
+
+} // namespace
+
 RuntimeValue
 evalIntrinsic(const std::string &callee, const Type *type,
-              const std::vector<RuntimeValue> &args)
+              OperandSpan args)
 {
-    auto arg = [&](std::size_t i) { return args.at(i).asFP(type); };
+    auto arg = [&](std::size_t i) {
+        return operandAt(args, i).asFP(type);
+    };
     if (callee == "sqrt")
         return RuntimeValue::fromFP(type, std::sqrt(arg(0)));
     if (callee == "exp")
@@ -186,8 +202,7 @@ evalIntrinsic(const std::string &callee, const Type *type,
 }
 
 std::int64_t
-evalGepOffset(const GetElementPtrInst &gep,
-              const std::vector<RuntimeValue> &indices)
+evalGepOffset(const GetElementPtrInst &gep, OperandSpan indices)
 {
     SALAM_ASSERT(indices.size() == gep.numIndices());
     const Type *cur = gep.sourceElementType();
@@ -209,8 +224,7 @@ evalGepOffset(const GetElementPtrInst &gep,
 }
 
 RuntimeValue
-evalCompute(const Instruction &inst,
-            const std::vector<RuntimeValue> &operands)
+evalCompute(const Instruction &inst, OperandSpan operands)
 {
     Opcode op = inst.opcode();
     switch (op) {
@@ -218,7 +232,8 @@ evalCompute(const Instruction &inst,
       case Opcode::FCmp: {
         const auto &cmp = static_cast<const CmpInst &>(inst);
         return evalCompare(op, cmp.predicate(), cmp.lhs()->type(),
-                           operands.at(0), operands.at(1));
+                           operandAt(operands, 0),
+                           operandAt(operands, 1));
       }
       case Opcode::Trunc:
       case Opcode::ZExt:
@@ -232,18 +247,17 @@ evalCompute(const Instruction &inst,
       case Opcode::IntToPtr: {
         const auto &cast = static_cast<const CastInst &>(inst);
         return evalCast(op, cast.source()->type(), cast.type(),
-                        operands.at(0));
+                        operandAt(operands, 0));
       }
       case Opcode::Select:
-        return operands.at(0).asBool() ? operands.at(1)
-                                       : operands.at(2);
+        return operandAt(operands, 0).asBool()
+            ? operandAt(operands, 1)
+            : operandAt(operands, 2);
       case Opcode::GetElementPtr: {
         const auto &gep =
             static_cast<const GetElementPtrInst &>(inst);
-        std::vector<RuntimeValue> indices(operands.begin() + 1,
-                                          operands.end());
-        std::uint64_t base = operands.at(0).bits;
-        std::int64_t off = evalGepOffset(gep, indices);
+        std::uint64_t base = operandAt(operands, 0).bits;
+        std::int64_t off = evalGepOffset(gep, operands.subspan(1));
         return RuntimeValue::fromPointer(
             base + static_cast<std::uint64_t>(off));
       }
@@ -253,8 +267,8 @@ evalCompute(const Instruction &inst,
       }
       default:
         if (inst.isComputeOp()) {
-            return evalBinary(op, inst.type(), operands.at(0),
-                              operands.at(1));
+            return evalBinary(op, inst.type(), operandAt(operands, 0),
+                              operandAt(operands, 1));
         }
         panic("evalCompute on non-compute opcode %s", opcodeName(op));
     }

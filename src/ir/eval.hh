@@ -14,7 +14,7 @@
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
+#include <span>
 
 #include "instruction.hh"
 
@@ -137,24 +137,26 @@ RuntimeValue evalCompare(Opcode op, Predicate pred, const Type *opnd_type,
 RuntimeValue evalCast(Opcode op, const Type *src_type,
                       const Type *dest_type, RuntimeValue v);
 
+/** Operand values of one instruction, in operand order. */
+using OperandSpan = std::span<const RuntimeValue>;
+
 /** Evaluate a math intrinsic (sqrt/exp/log/sin/cos/fabs/...). */
 RuntimeValue evalIntrinsic(const std::string &callee, const Type *type,
-                           const std::vector<RuntimeValue> &args);
+                           OperandSpan args);
 
 /**
  * Byte offset computed by a GEP given its index operand values.
  * The base address is not included.
  */
 std::int64_t evalGepOffset(const GetElementPtrInst &gep,
-                           const std::vector<RuntimeValue> &indices);
+                           OperandSpan indices);
 
 /**
  * Evaluate any compute instruction (arithmetic, compare, cast, select,
  * GEP, intrinsic call) from its operand values, in operand order.
  * Loads, stores, phis and terminators are the caller's responsibility.
  */
-RuntimeValue evalCompute(const Instruction &inst,
-                         const std::vector<RuntimeValue> &operands);
+RuntimeValue evalCompute(const Instruction &inst, OperandSpan operands);
 
 } // namespace salam::ir
 

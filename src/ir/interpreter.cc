@@ -99,6 +99,8 @@ Interpreter::run(const Function &fn,
     const BasicBlock *prev = nullptr;
     SALAM_ASSERT(block != nullptr);
 
+    // Operand values of the instruction being evaluated, reused.
+    std::vector<RuntimeValue> ops;
     while (true) {
         // Phi nodes read their incoming values simultaneously on
         // block entry, before any are rebound.
@@ -194,8 +196,7 @@ Interpreter::run(const Function &fn,
                 return result;
               }
               default: {
-                std::vector<RuntimeValue> ops;
-                ops.reserve(inst->numOperands());
+                ops.clear();
                 for (std::size_t o = 0; o < inst->numOperands(); ++o)
                     ops.push_back(valueOf(inst->operand(o)));
                 RuntimeValue v = evalCompute(*inst, ops);

@@ -76,15 +76,50 @@ enum ServiceFlags : unsigned
     svcCreditStall = 1u << 5,
 };
 
-/** A memory request/response in flight. */
+/**
+ * A memory request/response in flight. Payloads of up to
+ * inlineBytes (every scalar load/store) live inside the packet; DMA
+ * chunks and cache lines use a heap buffer.
+ */
 class Packet
 {
   public:
+    static constexpr unsigned inlineBytes = 8;
+
     Packet(MemCmd cmd, std::uint64_t addr, unsigned size)
-        : _cmd(cmd), _addr(addr), _size(size)
     {
-        if (mem::isRead(cmd) || cmd == MemCmd::WriteReq)
-            _data.resize(size);
+        reset(cmd, addr, size);
+    }
+
+    Packet(const Packet &) = delete;
+    Packet &operator=(const Packet &) = delete;
+
+    /**
+     * Re-initialise a recycled packet as a fresh request: the same
+     * state a newly constructed Packet(cmd, addr, size) has, keeping
+     * only the heap buffer's capacity.
+     */
+    void
+    reset(MemCmd cmd, std::uint64_t addr, unsigned size)
+    {
+        _cmd = cmd;
+        _addr = addr;
+        _size = size;
+        _hasData = mem::isRead(cmd) || cmd == MemCmd::WriteReq;
+        if (_hasData && size > inlineBytes)
+            _heapData.assign(size, 0);
+        else
+            _heapData.clear();
+        _inlineData = 0;
+        senderStack.clear();
+        context = nullptr;
+        burstBeats = 1;
+        beatBytes = 0;
+        firstBeat = true;
+        lastBeat = true;
+        id = 0;
+        serviceFlags = 0;
+        error = false;
     }
 
     MemCmd cmd() const { return _cmd; }
@@ -121,26 +156,38 @@ class Packet
     {
         makeResponse();
         error = true;
-        if (!_data.empty())
-            std::memset(_data.data(), 0, _data.size());
+        if (_hasData)
+            std::memset(data(), 0, _size);
     }
 
-    std::uint8_t *data() { return _data.data(); }
+    std::uint8_t *
+    data()
+    {
+        return _size <= inlineBytes
+            ? reinterpret_cast<std::uint8_t *>(&_inlineData)
+            : _heapData.data();
+    }
 
-    const std::uint8_t *data() const { return _data.data(); }
+    const std::uint8_t *
+    data() const
+    {
+        return _size <= inlineBytes
+            ? reinterpret_cast<const std::uint8_t *>(&_inlineData)
+            : _heapData.data();
+    }
 
     void
     setData(const void *src, unsigned bytes)
     {
         SALAM_ASSERT(bytes <= _size);
-        std::memcpy(_data.data(), src, bytes);
+        std::memcpy(data(), src, bytes);
     }
 
     void
     copyData(void *dst, unsigned bytes) const
     {
         SALAM_ASSERT(bytes <= _size);
-        std::memcpy(dst, _data.data(), bytes);
+        std::memcpy(dst, data(), bytes);
     }
 
     /** Push routing state (interconnect request path). */
@@ -205,7 +252,12 @@ class Packet
     MemCmd _cmd;
     std::uint64_t _addr;
     unsigned _size;
-    std::vector<std::uint8_t> _data;
+    /** The packet carries a payload (reads, write requests). */
+    bool _hasData;
+    /** Payload storage when _size <= inlineBytes. */
+    std::uint64_t _inlineData;
+    /** Payload storage when _size > inlineBytes. */
+    std::vector<std::uint8_t> _heapData;
     std::vector<std::unique_ptr<SenderState>> senderStack;
 };
 

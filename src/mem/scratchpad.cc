@@ -1,7 +1,6 @@
 #include "scratchpad.hh"
 
 #include <algorithm>
-#include <set>
 
 #include "inject/fault_injector.hh"
 
@@ -162,19 +161,26 @@ Scratchpad::serviceCycle()
     }
     unsigned reads_left = cfg.readPorts;
     unsigned writes_left = cfg.writePorts;
-    std::set<unsigned> busy_banks;
+    busyBanks.clear();
 
     Tick ready = clockEdge(Cycles(cfg.latencyCycles));
     // In-order service: scan the queue, issuing accesses that fit
     // this cycle's port and bank budget. Accesses blocked by a busy
     // bank do not block younger accesses to other banks (banked SRAM
     // behaviour), but per-command ordering is preserved by the scan.
-    for (auto it = requestQueue.begin(); it != requestQueue.end();) {
-        PacketPtr pkt = it->pkt;
+    // Serviced accesses leave the queue; the rest are compacted to
+    // its front in their original order.
+    std::size_t kept = 0;
+    std::size_t i = 0;
+    while (i < requestQueue.size()) {
+        const QueuedAccess qa = requestQueue[i++];
+        PacketPtr pkt = qa.pkt;
         unsigned bank = bankOf(pkt->addr());
         bool is_read = pkt->cmd() == MemCmd::ReadReq;
         unsigned &budget = is_read ? reads_left : writes_left;
-        if (budget == 0 || busy_banks.count(bank)) {
+        if (budget == 0 ||
+            std::find(busyBanks.begin(), busyBanks.end(), bank) !=
+                busyBanks.end()) {
             if (budget == 0) {
                 ++portStalls;
                 pkt->serviceFlags |= svcQueued;
@@ -186,7 +192,7 @@ Scratchpad::serviceCycle()
                             is_read ? "read" : "write",
                             (unsigned long long)pkt->addr(), bank);
             }
-            ++it;
+            requestQueue[kept++] = qa;
             continue;
         }
         SALAM_TRACE(Scratchpad, "%s addr=0x%llx size=%u bank=%u",
@@ -195,7 +201,7 @@ Scratchpad::serviceCycle()
                     bank);
         --budget;
         if (cfg.banks > 1)
-            busy_banks.insert(bank);
+            busyBanks.push_back(bank);
         access(pkt);
         Tick pkt_ready = ready;
         bool dropped = false;
@@ -213,12 +219,14 @@ Scratchpad::serviceCycle()
         if (!dropped) {
             noteProgress();
             responseQueue.push_back(
-                PendingResponse{pkt, it->sourcePort, pkt_ready});
+                PendingResponse{pkt, qa.sourcePort, pkt_ready});
         }
-        it = requestQueue.erase(it);
         if (reads_left == 0 && writes_left == 0)
             break;
     }
+    while (i < requestQueue.size())
+        requestQueue[kept++] = requestQueue[i++];
+    requestQueue.resize(kept);
 
     // The front's readyAt can be in the past when it sat blocked
     // behind a refused send; never schedule before now.
@@ -249,7 +257,8 @@ Scratchpad::dumpDiagnostics(obs::JsonBuilder &json) const
     }
     json.endArray();
     json.beginArray("response_queue");
-    for (const PendingResponse &pr : responseQueue) {
+    for (std::size_t i = 0; i < responseQueue.size(); ++i) {
+        const PendingResponse &pr = responseQueue[i];
         json.beginObject()
             .field("addr", pr.pkt->addr())
             .field("ready_at", pr.readyAt)

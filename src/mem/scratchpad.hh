@@ -12,11 +12,11 @@
 #ifndef SALAM_MEM_SCRATCHPAD_HH
 #define SALAM_MEM_SCRATCHPAD_HH
 
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "port.hh"
+#include "sim/ring_queue.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 
@@ -129,8 +129,11 @@ class Scratchpad : public ClockedObject
     ScratchpadConfig cfg;
     std::vector<std::uint8_t> store;
     std::vector<std::unique_ptr<SpmPort>> ports;
-    std::deque<QueuedAccess> requestQueue;
-    std::deque<PendingResponse> responseQueue;
+    /** Accesses awaiting a port and bank, oldest first. */
+    std::vector<QueuedAccess> requestQueue;
+    RingQueue<PendingResponse> responseQueue;
+    /** Banks already accessed in the current service pass. */
+    std::vector<unsigned> busyBanks;
     EventFunctionWrapper serviceEvent;
     EventFunctionWrapper responseEvent;
     bool serviceScheduled = false;

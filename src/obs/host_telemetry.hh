@@ -25,8 +25,9 @@
  *    waiting, and registers itself in a process-wide registry so the
  *    sweep report can name every shared lock and its wait share.
  *
- *  - Allocation-pressure counters: DynInst freelist-arena hits vs
- *    misses (merged from engine stats) and a peak-RSS sample, per
+ *  - Allocation-pressure counters: DynInst slab-record reuses
+ *    (arena hits) vs new records (misses), merged from engine
+ *    stats, and a peak-RSS sample, per
  *    point and aggregated per sweep, next to the issue scheduler's
  *    work: candidates visited, wake-ups and disambiguation-summary
  *    updates.

@@ -110,6 +110,7 @@ foldConstants(Function &fn)
 {
     bool any = false;
     bool changed = true;
+    std::vector<RuntimeValue> ops;
     while (changed) {
         changed = false;
         for (std::size_t b = 0; b < fn.numBlocks(); ++b) {
@@ -128,7 +129,7 @@ foldConstants(Function &fn)
                 if (!all_const)
                     continue;
 
-                std::vector<RuntimeValue> ops;
+                ops.clear();
                 for (std::size_t o = 0; o < inst->numOperands(); ++o)
                     ops.push_back(evalConstant(inst->operand(o)));
                 RuntimeValue rv = evalCompute(*inst, ops);

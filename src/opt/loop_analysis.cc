@@ -133,12 +133,13 @@ LoopAnalysis::computeTripCount(const SimpleLoop &loop)
 
     bool exit_on_true = (br->ifFalse() == block);
     std::uint64_t trips = 0;
+    std::vector<RuntimeValue> ops;
     while (true) {
         // Evaluate non-phi slice instructions in order.
         for (const Instruction *inst : ordered) {
             if (inst->opcode() == Opcode::Phi)
                 continue;
-            std::vector<RuntimeValue> ops;
+            ops.clear();
             for (std::size_t o = 0; o < inst->numOperands(); ++o)
                 ops.push_back(value_of(inst->operand(o)));
             env[inst] = evalCompute(*inst, ops);

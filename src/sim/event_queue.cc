@@ -14,19 +14,6 @@ Event::~Event()
 namespace
 {
 
-/** Marker wrapper for queue-owned one-shot lambda events. */
-class OwnedLambdaEvent : public EventFunctionWrapper
-{
-  public:
-    using EventFunctionWrapper::EventFunctionWrapper;
-};
-
-bool
-isQueueOwned(Event *event)
-{
-    return dynamic_cast<OwnedLambdaEvent *>(event) != nullptr;
-}
-
 /**
  * Slow path of the host-limit backstop: terminate the run when the
  * bound SimContext's cancel flag is raised or its point deadline has
@@ -68,11 +55,20 @@ EventQueue::drainAll()
         Entry entry = queue.top();
         queue.pop();
         Event *ev = entry.event;
-        if (ev->_scheduled && ev->_sequence == entry.sequence) {
+        if (ev->_scheduled && ev->_sequence == entry.sequence)
             ev->_scheduled = false;
-            if (isQueueOwned(ev))
-                delete ev;
-        }
+        releaseEntry(ev);
+    }
+}
+
+void
+EventQueue::releaseEntry(Event *event)
+{
+    SALAM_ASSERT(event->_queueEntries > 0);
+    if (--event->_queueEntries == 0 && event->_queueOwned &&
+        !event->_scheduled) {
+        delete event;
+        --liveLambdas;
     }
 }
 
@@ -91,6 +87,7 @@ EventQueue::schedule(Event *event, Tick when)
     event->_scheduled = true;
     event->_when = when;
     event->_sequence = nextSequence++;
+    ++event->_queueEntries;
     queue.push(Entry{when, event->priority(), event->_sequence, event});
     if (queue.size() > maxDepth)
         maxDepth = queue.size();
@@ -115,15 +112,17 @@ EventQueue::reschedule(Event *event, Tick when)
     schedule(event, when);
 }
 
-void
+Event *
 EventQueue::schedule(Tick when, std::function<void()> callback,
                      std::string name, obs::HostPhase host_phase)
 {
-    auto *event = new OwnedLambdaEvent(std::move(callback),
-                                       std::move(name),
-                                       Event::defaultPri, host_phase);
+    auto *event = new EventFunctionWrapper(std::move(callback),
+                                           std::move(name),
+                                           Event::defaultPri, host_phase);
+    event->_queueOwned = true;
     schedule(event, when);
     ++liveLambdas;
+    return event;
 }
 
 bool
@@ -136,8 +135,7 @@ EventQueue::step()
 
         // Skip entries invalidated by deschedule()/reschedule().
         if (!ev->_scheduled || ev->_sequence != entry.sequence) {
-            if (!ev->_scheduled && isQueueOwned(ev))
-                delete ev;
+            releaseEntry(ev);
             continue;
         }
 
@@ -150,10 +148,7 @@ EventQueue::step()
                        queue.size());
         ev->process();
         ++serviced;
-        if (isQueueOwned(ev) && !ev->_scheduled) {
-            delete ev;
-            --liveLambdas;
-        }
+        releaseEntry(ev);
         return true;
     }
     return false;
@@ -198,8 +193,7 @@ EventQueue::run(Tick limit)
         if (!top.event->_scheduled ||
             top.event->_sequence != top.sequence) {
             queue.pop();
-            if (!top.event->_scheduled && isQueueOwned(top.event))
-                delete top.event;
+            releaseEntry(top.event);
             continue;
         }
         if (top.when > limit)

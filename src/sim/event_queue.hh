@@ -78,6 +78,10 @@ class Event
     int _priority;
     obs::HostPhase _hostPhase = obs::HostPhase::EventLoop;
     bool _scheduled = false;
+    /** Allocated by schedule(when, callback); the queue deletes it. */
+    bool _queueOwned = false;
+    /** Heap entries (live or stale) that still point at this event. */
+    std::uint32_t _queueEntries = 0;
     Tick _when = 0;
     std::uint64_t _sequence = 0;
 };
@@ -125,10 +129,15 @@ class EventQueue
     /** Deschedule (if needed) and schedule at a new tick. */
     void reschedule(Event *event, Tick when);
 
-    /** Schedule a one-shot callback owned by the queue. */
-    void schedule(Tick when, std::function<void()> callback,
-                  std::string name = "lambda",
-                  obs::HostPhase host_phase = obs::HostPhase::EventLoop);
+    /**
+     * Schedule a one-shot callback owned by the queue. The returned
+     * event stays valid until it fires without being rescheduled, or
+     * until it is descheduled and its last queue entry is dropped;
+     * the queue then deletes it.
+     */
+    Event *schedule(Tick when, std::function<void()> callback,
+                    std::string name = "lambda",
+                    obs::HostPhase host_phase = obs::HostPhase::EventLoop);
 
     /** True when no events remain. */
     bool empty() const { return queue.empty(); }
@@ -181,6 +190,12 @@ class EventQueue
             return sequence > o.sequence;
         }
     };
+
+    /**
+     * Drop one heap entry of @p event; a queue-owned event is deleted
+     * once no entry points at it and it is not scheduled.
+     */
+    void releaseEntry(Event *event);
 
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
     Tick _curTick = 0;

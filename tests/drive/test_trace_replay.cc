@@ -338,3 +338,105 @@ TEST(TraceReplay, EmptyTraceFailsGracefully)
     drive::ReplayResult res = replayer.run();
     EXPECT_FALSE(res.ok);
 }
+
+namespace
+{
+
+/**
+ * out[0] = a / b through a long-latency divider, then arr[i] = i
+ * for i < n: the loop runs ahead while the divide holds the window
+ * front, so the window grows to thousands of instances.
+ */
+ir::Function *
+buildDeepWindow(ir::IRBuilder &b, std::int64_t n)
+{
+    ir::Context &ctx = b.context();
+    ir::Function *fn = b.createFunction("deep_window", ctx.voidType());
+    ir::Argument *out =
+        fn->addArgument(ctx.pointerTo(ctx.doubleType()), "out");
+    ir::Argument *arr = fn->addArgument(ctx.pointerTo(ctx.i64()), "arr");
+    ir::Argument *x = fn->addArgument(ctx.doubleType(), "x");
+    ir::Argument *y = fn->addArgument(ctx.doubleType(), "y");
+
+    ir::BasicBlock *entry = b.createBlock("entry");
+    ir::BasicBlock *loop = b.createBlock("loop");
+    ir::BasicBlock *exit = b.createBlock("exit");
+
+    b.setInsertPoint(entry);
+    ir::Value *q = b.fdiv(x, y, "q");
+    b.br(loop);
+
+    b.setInsertPoint(loop);
+    ir::PhiInst *i = b.phi(ctx.i64(), "i");
+    ir::Value *p = b.gep(ctx.i64(), arr, i, "p");
+    b.store(i, p);
+    ir::Value *inext = b.add(i, b.constI64(1), "i.next");
+    ir::Value *more =
+        b.icmp(ir::Predicate::SLT, inext, b.constI64(n), "more");
+    b.condBr(more, loop, exit);
+    i->addIncoming(b.constI64(0), entry);
+    i->addIncoming(inext, loop);
+
+    b.setInsertPoint(exit);
+    b.store(q, out);
+    b.ret();
+    return fn;
+}
+
+} // namespace
+
+TEST(RuntimeEngine, DeepWindowMatchesReplay)
+{
+    constexpr std::int64_t n = 6000;
+    constexpr std::uint64_t outAddr = test::spmBase;
+    constexpr std::uint64_t arrAddr = test::spmBase + 64;
+    core::DeviceConfig dev;
+    dev.profile.fu(hw::FuType::FpDividerDouble).latencyCycles = 30000;
+
+    ir::Module mod("deep_window");
+    ir::IRBuilder b(mod);
+    ir::Function *fn = buildDeepWindow(b, n);
+    const std::vector<ir::RuntimeValue> args = {
+        ir::RuntimeValue::fromPointer(outAddr),
+        ir::RuntimeValue::fromPointer(arrAddr),
+        ir::RuntimeValue::fromDouble(6.0),
+        ir::RuntimeValue::fromDouble(3.0)};
+
+    core::DynTrace trace;
+    test::AccelSystem sys(*fn, dev);
+    sys.bench.cu.enableTraceCapture(&trace);
+    sys.run(args);
+    mem::ScratchpadBackdoor backdoor(sys.bench.spm);
+    double q = 0.0;
+    backdoor.readBytes(outAddr, sizeof(q), &q);
+    EXPECT_EQ(q, 2.0);
+    for (std::int64_t k : {std::int64_t{0}, n / 2, n - 1}) {
+        std::int64_t v = -1;
+        backdoor.readBytes(arrAddr + 8 * static_cast<std::uint64_t>(k),
+                           sizeof(v), &v);
+        EXPECT_EQ(v, k);
+    }
+
+    // Every instance stays in the window until the divide commits,
+    // so the window (and the slab's chunk table) grew well past the
+    // first table's reach.
+    const core::EngineStats full = sys.bench.cu.stats();
+    EXPECT_GT(full.totalCycles, 30000u);
+    EXPECT_GT(full.arenaMisses,
+              4 * core::RuntimeEngine::initialWindowCapacity(dev));
+
+    core::StaticCdfg cdfg(*fn, dev);
+    const drive::ReplayPrep prep = drive::buildReplayPrep(cdfg, trace);
+    const mem::ScratchpadConfig spm_cfg = test::AccelSystem::defaultSpm();
+    drive::ReplaySpmConfig spm;
+    spm.rangeStart = test::spmBase;
+    spm.latencyCycles = spm_cfg.latencyCycles;
+    spm.readPorts = spm_cfg.readPorts;
+    spm.writePorts = spm_cfg.writePorts;
+    spm.banks = spm_cfg.banks;
+    spm.wordBytes = spm_cfg.wordBytes;
+    drive::TraceReplayer replayer(cdfg, dev, trace, spm, &prep);
+    const drive::ReplayResult fast = replayer.run();
+    ASSERT_TRUE(fast.ok) << fast.error;
+    expectStatsEqual(fast.stats, full);
+}

@@ -130,12 +130,12 @@ TEST_F(EvalTest, Casts)
 
 TEST_F(EvalTest, Intrinsics)
 {
-    auto r = evalIntrinsic("sqrt", ctx.doubleType(),
-                           {RuntimeValue::fromDouble(9.0)});
+    std::vector<RuntimeValue> nine = {RuntimeValue::fromDouble(9.0)};
+    auto r = evalIntrinsic("sqrt", ctx.doubleType(), nine);
     EXPECT_DOUBLE_EQ(r.asDouble(), 3.0);
-    r = evalIntrinsic("pow", ctx.doubleType(),
-                      {RuntimeValue::fromDouble(2.0),
-                       RuntimeValue::fromDouble(10.0)});
+    std::vector<RuntimeValue> two_ten = {RuntimeValue::fromDouble(2.0),
+                                         RuntimeValue::fromDouble(10.0)};
+    r = evalIntrinsic("pow", ctx.doubleType(), two_ten);
     EXPECT_DOUBLE_EQ(r.asDouble(), 1024.0);
     EXPECT_EXIT(evalIntrinsic("nope", ctx.doubleType(), {}),
                 ::testing::ExitedWithCode(1), "unknown intrinsic");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -203,4 +204,87 @@ TEST(EventQueue, ServicedCountTracksEvents)
         q.schedule(static_cast<Tick>(i), [] {});
     q.run();
     EXPECT_EQ(q.numServiced(), 10u);
+}
+
+// Queue-owned lambdas: each captures a token, so the token's use
+// count shows whether the queue still holds the callback. Run under
+// ASan, these also catch a double delete or a use after free.
+TEST(EventQueue, OwnedLambdaFreedAfterService)
+{
+    EventQueue q;
+    auto token = std::make_shared<int>(0);
+    q.schedule(5, [token] { ++*token; });
+    q.schedule(7, [token] { ++*token; });
+    EXPECT_EQ(token.use_count(), 3);
+    q.run();
+    EXPECT_EQ(*token, 2);
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, OwnedLambdaFreedAfterDeschedule)
+{
+    EventQueue q;
+    auto token = std::make_shared<int>(0);
+    Event *ev = q.schedule(5, [token] { ++*token; });
+    q.deschedule(ev);
+    // Descheduled, rescheduled and descheduled again: two stale
+    // entries point at the event, and only the last one frees it.
+    q.reschedule(ev, 8);
+    q.deschedule(ev);
+    EXPECT_EQ(token.use_count(), 2);
+    EXPECT_FALSE(q.step());
+    EXPECT_EQ(*token, 0);
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, OwnedLambdaFreedAfterReschedule)
+{
+    EventQueue q;
+    auto token = std::make_shared<int>(0);
+    Tick fired_at = 0;
+    Event *ev = q.schedule(5, [token, &q, &fired_at] {
+        ++*token;
+        fired_at = q.curTick();
+    });
+    q.reschedule(ev, 20);
+    q.reschedule(ev, 12);
+    q.run();
+    EXPECT_EQ(*token, 1);
+    EXPECT_EQ(fired_at, 12u);
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, OwnedLambdaFreedByDrainAll)
+{
+    auto token = std::make_shared<int>(0);
+    {
+        EventQueue q;
+        q.schedule(5, [token] { ++*token; });
+        Event *ev = q.schedule(9, [token] { ++*token; });
+        q.reschedule(ev, 11);
+        q.schedule(30, [token] { ++*token; });
+        EXPECT_TRUE(q.step());
+        q.drainAll();
+        EXPECT_TRUE(q.empty());
+        EXPECT_EQ(*token, 1);
+        EXPECT_EQ(token.use_count(), 1);
+        // Drained but not destroyed: the queue stays usable.
+        q.schedule(40, [token] { ++*token; });
+    }
+    // ~EventQueue drains what is left.
+    EXPECT_EQ(*token, 1);
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, MemberEventsAreNotOwned)
+{
+    EventQueue q;
+    int fired = 0;
+    EventFunctionWrapper ev([&] { ++fired; }, "member");
+    q.schedule(&ev, 3);
+    q.deschedule(&ev);
+    q.schedule(&ev, 4);
+    q.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_FALSE(ev.scheduled());
 }
